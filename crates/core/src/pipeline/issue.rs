@@ -202,7 +202,7 @@ impl PipelineState {
         let t = self.cycle;
         let q = self.quant;
         let arrival = q.cycle_start(t + 1);
-        // Snapshot the Copy scalars once; `srcs` — the only non-Copy field
+        // Copy the scalars out once; `srcs` — the only non-Copy field
         // needed — is re-borrowed per read-only phase below, which keeps
         // the hot path free of a full-entry clone.
         let (op, class, recyclable, pool, pred_last, pred_pos, ext_ticks, pred_width, fallback) = {

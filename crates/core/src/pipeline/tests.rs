@@ -1,7 +1,7 @@
 //! Integration-style unit tests for the staged pipeline: golden
-//! behaviour, checkpoint/restore round-trips, store-to-load
-//! forwarding, and the contended memory model (split out of `mod.rs`
-//! to keep it within the module size budget).
+//! behaviour, cancellation, store-to-load forwarding, and the contended
+//! memory model (split out of `mod.rs` to keep it within the module
+//! size budget).
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -135,65 +135,6 @@ fn unattached_token_runs_to_completion() {
     assert_eq!(rep.committed, 2_001);
 }
 
-#[test]
-fn checkpointed_run_matches_plain_run_and_restores_identically() {
-    let trace = logic_chain_trace(20_000);
-    let config = CoreConfig::big().with_sched(SchedulerConfig::redsoc());
-
-    let full = Simulator::new(config.clone())
-        .expect("valid config")
-        .run(trace.iter().copied())
-        .expect("plain run");
-
-    let mut snaps: Vec<(u64, Vec<u8>)> = Vec::new();
-    let mut save = |cycle: u64, blob: Vec<u8>| snaps.push((cycle, blob));
-    let checkpointed = Simulator::new(config.clone())
-        .expect("valid config")
-        .run_events_checkpointed(
-            trace.iter().copied(),
-            &mut NullSink,
-            CheckpointPlan::new(1024, &mut save),
-        )
-        .expect("checkpointed run");
-    assert_eq!(full, checkpointed, "checkpointing must not perturb the run");
-    assert!(snaps.len() >= 2, "expected several checkpoints");
-
-    // Restore from a mid-run checkpoint and run the tail: the final
-    // report must be identical to the uninterrupted run's.
-    let (cycle, blob) = snaps[snaps.len() / 2].clone();
-    let (sim, cursor) = Simulator::restore(config.clone(), &blob, &trace).expect("restore");
-    assert_eq!(sim.state.cycle, cycle);
-    let resumed = sim
-        .run(
-            trace[usize::try_from(cursor).expect("cursor fits")..]
-                .iter()
-                .copied(),
-        )
-        .expect("resumed run");
-    assert_eq!(full, resumed, "restored run diverged");
-
-    // A restored run checkpointing at the same absolute interval must
-    // reproduce the later checkpoints byte-for-byte.
-    let (first_cycle, first_blob) = snaps[0].clone();
-    let (sim, cursor) = Simulator::restore(config, &first_blob, &trace).expect("restore first");
-    let mut resnap: Vec<(u64, Vec<u8>)> = Vec::new();
-    let mut save2 = |cycle: u64, blob: Vec<u8>| resnap.push((cycle, blob));
-    sim.run_events_checkpointed(
-        trace[usize::try_from(cursor).expect("cursor fits")..]
-            .iter()
-            .copied(),
-        &mut NullSink,
-        CheckpointPlan::new(1024, &mut save2),
-    )
-    .expect("resumed checkpointed run");
-    let tail: Vec<(u64, Vec<u8>)> = snaps
-        .iter()
-        .filter(|(c, _)| *c > first_cycle)
-        .cloned()
-        .collect();
-    assert_eq!(tail, resnap, "resumed checkpoints must be byte-identical");
-}
-
 fn load_op(seq: u64, pc: u32, addr: u32) -> DynOp {
     let mut d = DynOp::simple(
         seq,
@@ -303,10 +244,10 @@ fn partially_overlapping_unissued_store_blocks_but_still_forwards_when_issued() 
 }
 
 /// A strided miss stream against a deliberately tiny contended
-/// hierarchy: every classic-model snapshot guarantee must carry over,
-/// including restoring mid-flight with non-empty MSHRs.
+/// hierarchy: the MSHR file must reject, the stall partition must hold,
+/// and loads rejected at the ROB head must land in the Mshr bucket.
 #[test]
-fn contended_model_checkpoints_restore_identically_with_inflight_misses() {
+fn contended_model_rejects_and_attributes_head_loads_to_mshr() {
     use redsoc_mem::{ContendedConfig, MemModelConfig};
     // Bursts of a pointer-chase pair plus independent fillers, all
     // missing (64-byte stride over 1 MiB). The chased load becomes
@@ -359,7 +300,7 @@ fn contended_model_checkpoints_restore_identically_with_inflight_misses() {
             dram_interval: 16,
         }));
 
-    let full = Simulator::new(config.clone())
+    let full = Simulator::new(config)
         .expect("valid config")
         .run(trace.iter().copied())
         .expect("plain run");
@@ -377,103 +318,6 @@ fn contended_model_checkpoints_restore_identically_with_inflight_misses() {
         full.stalls.count(StallCause::Mshr) > 0,
         "rejected head loads must be attributed to the Mshr bucket"
     );
-
-    let mut snaps: Vec<(u64, Vec<u8>)> = Vec::new();
-    let mut save = |cycle: u64, blob: Vec<u8>| snaps.push((cycle, blob));
-    let checkpointed = Simulator::new(config.clone())
-        .expect("valid config")
-        .run_events_checkpointed(
-            trace.iter().copied(),
-            &mut NullSink,
-            CheckpointPlan::new(512, &mut save),
-        )
-        .expect("checkpointed run");
-    assert_eq!(full, checkpointed, "checkpointing must not perturb the run");
-
-    // Find a checkpoint taken while misses were outstanding — the
-    // MSHR file round-trips through the snapshot, so the restored
-    // model must report the same in-flight count and the resumed run
-    // must finish identically.
-    let mut restored_with_inflight = 0;
-    for (cycle, blob) in &snaps {
-        let (sim, cursor) = Simulator::restore(config.clone(), blob, &trace).expect("restore");
-        assert_eq!(sim.state.cycle, *cycle);
-        if sim.state.memory.inflight(*cycle) == 0 {
-            continue;
-        }
-        restored_with_inflight += 1;
-        let resumed = sim
-            .run(
-                trace[usize::try_from(cursor).expect("cursor fits")..]
-                    .iter()
-                    .copied(),
-            )
-            .expect("resumed run");
-        assert_eq!(full, resumed, "mid-flight restore diverged at {cycle}");
-        if restored_with_inflight >= 3 {
-            break;
-        }
-    }
-    assert!(
-        restored_with_inflight > 0,
-        "no checkpoint caught the MSHRs non-empty — the property was never exercised"
-    );
-}
-
-#[test]
-fn restore_rejects_mismatched_config_and_corruption() {
-    let trace = logic_chain_trace(4_000);
-    let config = CoreConfig::big().with_sched(SchedulerConfig::redsoc());
-    let sim = Simulator::new(config.clone()).expect("valid config");
-    let blob = sim.snapshot();
-
-    // Different scheduler mode → different config digest.
-    let other = CoreConfig::big().with_sched(SchedulerConfig::baseline());
-    assert_eq!(
-        Simulator::restore(other, &blob, &trace).err(),
-        Some(snapshot::SnapshotError::ConfigMismatch)
-    );
-
-    // A flipped byte fails the integrity digest.
-    let mut torn = blob.clone();
-    let mid = torn.len() / 2;
-    torn[mid] ^= 0x10;
-    assert_eq!(
-        Simulator::restore(config.clone(), &torn, &trace).err(),
-        Some(snapshot::SnapshotError::DigestMismatch)
-    );
-
-    // A truncated blob never parses.
-    assert!(Simulator::restore(config.clone(), &blob[..blob.len() / 2], &trace).is_err());
-
-    // Not a snapshot at all.
-    assert_eq!(
-        Simulator::restore(config, b"definitely not a snapshot", &trace).err(),
-        Some(snapshot::SnapshotError::BadMagic)
-    );
-}
-
-#[test]
-fn restore_rejects_a_foreign_trace() {
-    let trace = logic_chain_trace(6_000);
-    let config = CoreConfig::big().with_sched(SchedulerConfig::redsoc());
-    let mut snaps: Vec<Vec<u8>> = Vec::new();
-    let mut save = |_cycle: u64, blob: Vec<u8>| snaps.push(blob);
-    Simulator::new(config.clone())
-        .expect("valid config")
-        .run_events_checkpointed(
-            trace.iter().copied(),
-            &mut NullSink,
-            CheckpointPlan::new(1024, &mut save),
-        )
-        .expect("checkpointed run");
-    let blob = snaps.first().expect("at least one checkpoint");
-    // A shorter trace cannot rehydrate the in-flight window.
-    let short = logic_chain_trace(10);
-    assert!(matches!(
-        Simulator::restore(config, blob, &short).err(),
-        Some(snapshot::SnapshotError::TraceMismatch { .. })
-    ));
 }
 
 #[test]

@@ -103,7 +103,7 @@ impl ExecTiming {
 }
 
 /// The issuing op's decode-time attributes handed to
-/// [`Scheduler::on_issue`] — a Copy snapshot, so the hook never needs to
+/// [`Scheduler::on_issue`] — a Copy of them, so the hook never needs to
 /// re-borrow (or clone) the reservation-station entry it is timing.
 #[derive(Debug, Clone, Copy)]
 pub struct IssueArgs {
@@ -253,26 +253,20 @@ pub trait Scheduler: fmt::Debug + Send + Sync {
         let _ = (x, cycle);
     }
 
-    /// Serialize scheduler-private mutable state for a pipeline snapshot.
+    /// Serialize scheduler-private mutable state.
     ///
-    /// **Contract:** everything the scheduler reads in later cycles that
-    /// is *not* reconstructible from its configuration and the serialized
-    /// [`PipelineState`] must round-trip through this pair of hooks —
-    /// otherwise a restored run diverges from the uninterrupted one. The
-    /// default returns an empty blob, correct for any stateless policy
-    /// (all four in-tree schedulers are stateless: their fields are
-    /// config-derived and never mutated; predictor tables live in
-    /// `PipelineState` — audit notes in each module).
+    /// Retained for API compatibility: no in-tree caller remains since
+    /// in-flight pipeline snapshots were removed (crash safety is at job
+    /// granularity). The default returns an empty blob.
     fn snapshot(&self) -> Vec<u8> {
         Vec::new()
     }
 
     /// Restore scheduler-private state captured by [`Scheduler::snapshot`].
     ///
-    /// The default accepts only the empty blob its `snapshot` default
-    /// produces, so a stateful scheduler that overrides one hook without
-    /// the other fails loudly instead of resuming with silently reset
-    /// state.
+    /// Retained for API compatibility: no in-tree caller remains. The
+    /// default accepts only the empty blob its `snapshot` default
+    /// produces.
     ///
     /// # Errors
     ///
