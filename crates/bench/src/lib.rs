@@ -22,8 +22,6 @@
 //!   and are not re-run;
 //! - [`json`] — a dependency-free JSON value/emitter/parser for the
 //!   machine-readable `BENCH_sweep.json` output;
-//! - [`microbench`] — a minimal wall-clock micro-benchmark harness for the
-//!   `cargo bench` targets;
 //! - [`worker`] / [`pool`] — the process-isolation tier behind
 //!   `redsoc bench --isolation process`: a length-prefixed frame
 //!   protocol spoken by disposable `redsoc worker` children, and the
@@ -36,7 +34,6 @@
 pub mod grid;
 pub mod journal;
 pub mod json;
-pub mod microbench;
 pub mod pool;
 pub mod runner;
 pub mod supervisor;
@@ -47,7 +44,6 @@ use std::sync::{Arc, OnceLock, RwLock};
 
 use redsoc_core::config::{CoreConfig, SchedulerConfig};
 use redsoc_core::pipeline::simulate;
-use redsoc_core::sched::ts::{run_ts, TsResult};
 use redsoc_core::stats::SimReport;
 use redsoc_isa::trace::DynOp;
 use redsoc_workloads::{BenchClass, Benchmark};
@@ -225,23 +221,6 @@ pub fn compare(cache: &TraceCache, bench: Benchmark, core: &CoreConfig) -> Compa
     let base = run_on(cache, bench, core, SchedulerConfig::baseline());
     let redsoc = run_on(cache, bench, core, redsoc_for(bench.class()));
     Comparison { base, redsoc }
-}
-
-/// Run the TS comparator for one benchmark × core (§VI-D), given the
-/// baseline cycles.
-///
-/// # Panics
-///
-/// Panics on simulator errors, like [`run_on`].
-pub fn compare_ts(
-    cache: &TraceCache,
-    bench: Benchmark,
-    core: &CoreConfig,
-    baseline_cycles: u64,
-) -> TsResult {
-    let trace = cache.get(bench);
-    run_ts(&trace, core, baseline_cycles, 0.01)
-        .unwrap_or_else(|e| panic!("TS {} on {}: {e}", bench.name(), core.name))
 }
 
 /// Geometric-mean helper for class averages (the paper reports means per

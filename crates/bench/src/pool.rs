@@ -22,8 +22,8 @@
 //! - **Workers are disposable.** Any transport failure discards the
 //!   child; the next attempt (the supervisor's retry machinery is
 //!   unchanged) spawns a fresh one. Healthy workers are recycled after
-//!   [`WorkerPoolConfig::recycle_after`] jobs to bound slow leaks, the
-//!   classic disposable-worker hygiene. Worker-reported *job* failures
+//!   `RECYCLE_AFTER` (32) jobs to bound slow leaks, the classic
+//!   disposable-worker hygiene. Worker-reported *job* failures
 //!   (a deadlock, a timeout, a caught panic) leave the worker alive —
 //!   its trace cache is warm and the failure was contained.
 
@@ -45,6 +45,10 @@ use crate::worker::{
 /// event dump for a dead worker).
 const STDERR_TAIL: usize = 40;
 
+/// Retire a healthy worker after this many jobs (crashed workers are
+/// always discarded immediately).
+const RECYCLE_AFTER: u32 = 32;
+
 /// Configuration for the process-isolation tier.
 #[derive(Debug, Clone)]
 pub struct WorkerPoolConfig {
@@ -54,23 +58,18 @@ pub struct WorkerPoolConfig {
     /// Per-worker address-space cap, applied by the worker itself via
     /// `setrlimit(RLIMIT_AS)` before its first job.
     pub mem_limit_mb: Option<u64>,
-    /// Retire a healthy worker after this many jobs (crashed workers
-    /// are always discarded immediately).
-    pub recycle_after: u32,
     /// How long the parent tolerates frame silence before declaring the
     /// worker lost and killing it — the per-attempt wall-clock limit.
     pub heartbeat_timeout: Duration,
 }
 
 impl WorkerPoolConfig {
-    /// Defaults: no memory cap, recycle after 32 jobs, 30 s heartbeat
-    /// deadline.
+    /// Defaults: no memory cap, 30 s heartbeat deadline.
     #[must_use]
     pub fn new(exe: PathBuf) -> Self {
         WorkerPoolConfig {
             exe,
             mem_limit_mb: None,
-            recycle_after: 32,
             heartbeat_timeout: Duration::from_secs(30),
         }
     }
@@ -354,10 +353,7 @@ pub(crate) fn run_job_attempt(
 ) -> Result<CellSummary, (JobError, Vec<String>)> {
     WORKER.with(|slot| {
         let mut slot = slot.borrow_mut();
-        if slot
-            .as_ref()
-            .is_some_and(|w| w.jobs_done >= cfg.recycle_after)
-        {
+        if slot.as_ref().is_some_and(|w| w.jobs_done >= RECYCLE_AFTER) {
             *slot = None; // Drop shuts the old worker down
         }
         if slot.is_none() {

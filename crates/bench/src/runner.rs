@@ -26,8 +26,8 @@
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use redsoc_core::config::{CoreConfig, SchedulerConfig};
@@ -166,22 +166,17 @@ fn sim_summary(job: &Job, report: &redsoc_core::stats::SimReport) -> CellSummary
 
 /// Run `trace` for `config` under the job watchdog and condense the
 /// outcome into the attempt result. The watchdog token carries the cycle
-/// budget, if any, plus the progress cell the process-isolation
-/// heartbeat reads (it piggybacks on the same 1024-cycle poll).
+/// budget, if any.
 fn run_sim(
     job: &Job,
     config: CoreConfig,
     trace: impl Iterator<Item = DynOp>,
     sup: &SupervisorConfig,
-    progress: Option<&Arc<AtomicU64>>,
 ) -> Result<(JobOutput, CellSummary), (JobError, Vec<String>)> {
-    let mut token = match sup.job_timeout_cycles {
+    let token = match sup.job_timeout_cycles {
         Some(budget) => CancelToken::with_budget(budget),
         None => CancelToken::new(),
     };
-    if let Some(cell) = progress {
-        token = token.with_progress(Arc::clone(cell));
-    }
     let sim = Simulator::new(config)
         .map_err(|e| (JobError::Sim(e), Vec::new()))?
         .with_cancel(token);
@@ -204,11 +199,10 @@ fn sim_attempt(
     job: &Job,
     sched: SchedulerConfig,
     sup: &SupervisorConfig,
-    progress: Option<&Arc<AtomicU64>>,
 ) -> Result<(JobOutput, CellSummary), (JobError, Vec<String>)> {
     let trace = cache.get(job.bench);
     let config = job.core.clone().with_sched(sched);
-    run_sim(job, config, trace.iter().copied(), sup, progress)
+    run_sim(job, config, trace.iter().copied(), sup)
 }
 
 /// One attempt of the injected-hang fault: run the endless stream under
@@ -217,14 +211,13 @@ fn sim_attempt(
 fn hang_attempt(
     job: &Job,
     sup: &SupervisorConfig,
-    progress: Option<&Arc<AtomicU64>>,
 ) -> Result<(JobOutput, CellSummary), (JobError, Vec<String>)> {
     let sched = job
         .mode
         .sched(job.bench)
         .unwrap_or_else(SchedulerConfig::baseline);
     let config = job.core.clone().with_sched(sched);
-    run_sim(job, config, endless_trace(), sup, progress)
+    run_sim(job, config, endless_trace(), sup)
 }
 
 /// One attempt of a TS job, given the measured baseline (cycles,
@@ -271,8 +264,7 @@ pub enum Isolation {
 /// One supervised attempt body, shared verbatim between thread isolation
 /// (called on a sweep thread) and process isolation (called inside a
 /// `redsoc worker` child): fault injection, TS dispatch, and the
-/// simulator path. `progress` is published to from the [`CancelToken`]
-/// poll so a worker's heartbeat can carry the latest simulated cycle.
+/// simulator path.
 ///
 /// The containable faults (`panic`/`fail`/`hang`) execute here under
 /// whichever isolation is active. The destructive faults
@@ -285,7 +277,6 @@ pub(crate) fn attempt_with_faults(
     ts_base: Option<(u64, u64)>,
     sup: &SupervisorConfig,
     attempt: u32,
-    progress: Option<&Arc<AtomicU64>>,
 ) -> Result<(JobOutput, CellSummary), (JobError, Vec<String>)> {
     let key = job.key();
     match sup.faults.get(&key) {
@@ -296,7 +287,7 @@ pub(crate) fn attempt_with_faults(
             JobError::Sim(SimError::BadConfig(format!("injected failure for {key}"))),
             Vec::new(),
         )),
-        Some(Fault::Hang) => hang_attempt(job, sup, progress),
+        Some(Fault::Hang) => hang_attempt(job, sup),
         Some(fault @ (Fault::Abort | Fault::Oom | Fault::Freeze)) => {
             fatal_destructive_fault(&key, fault)
         }
@@ -313,7 +304,7 @@ pub(crate) fn attempt_with_faults(
                 Vec::new(),
             )),
             (_, _) => match job.mode.sched(job.bench) {
-                Some(sched) => sim_attempt(cache, job, sched, sup, progress),
+                Some(sched) => sim_attempt(cache, job, sched, sup),
                 None => Err((
                     JobError::Sim(SimError::BadConfig(format!(
                         "mode {} has no scheduler",
@@ -398,7 +389,7 @@ fn exec_cell(
     let last_events: Mutex<Vec<String>> = Mutex::new(Vec::new());
     let supervised = supervise(sup, |attempt| {
         let outcome = match isolation {
-            Isolation::Thread => attempt_with_faults(cache, job, ts_base, sup, attempt, None)
+            Isolation::Thread => attempt_with_faults(cache, job, ts_base, sup, attempt)
                 .map(|(output, summary)| (Some(output), summary)),
             Isolation::Process(cfg) => {
                 if job.mode == Mode::Ts && ts_base.is_none() {
@@ -493,34 +484,12 @@ fn exec_cell(
 /// Requesting [`Mode::Ts`] implies baseline runs (they are added when
 /// missing): TS picks its clock from the trace but reports speedup against
 /// the measured baseline cycle count.
+///
+/// `isolation` picks the execution tier: [`Isolation::Thread`] runs
+/// attempts in-process, [`Isolation::Process`] ships every attempt to
+/// pooled `redsoc worker` children.
 #[must_use]
-pub fn run_grid_supervised(
-    cache: &TraceCache,
-    benches: &[Benchmark],
-    cores: &[(&'static str, CoreConfig)],
-    modes: &[Mode],
-    threads: usize,
-    sup: &SupervisorConfig,
-    journal: Option<&Journal>,
-) -> Grid {
-    run_grid_isolated(
-        cache,
-        benches,
-        cores,
-        modes,
-        threads,
-        sup,
-        journal,
-        &Isolation::Thread,
-    )
-}
-
-/// [`run_grid_supervised`] with an explicit execution tier. Thread
-/// isolation is byte-identical to [`run_grid_supervised`]; process
-/// isolation ships every attempt to pooled `redsoc worker` children
-/// (see [`Isolation`]).
-#[must_use]
-#[allow(clippy::too_many_arguments)] // the supervised signature + one tier knob
+#[allow(clippy::too_many_arguments)]
 pub fn run_grid_isolated(
     cache: &TraceCache,
     benches: &[Benchmark],
@@ -640,7 +609,7 @@ pub fn run_grid(
     modes: &[Mode],
     threads: usize,
 ) -> Grid {
-    run_grid_supervised(
+    run_grid_isolated(
         cache,
         benches,
         cores,
@@ -648,6 +617,7 @@ pub fn run_grid(
         threads,
         &SupervisorConfig::default(),
         None,
+        &Isolation::Thread,
     )
 }
 
@@ -711,7 +681,7 @@ mod tests {
             faults: FaultPlan::none().with("bitcnt/BIG/redsoc", Fault::Panic { times: 99 }),
             ..SupervisorConfig::default()
         };
-        let grid = run_grid_supervised(
+        let grid = run_grid_isolated(
             &cache,
             &[Benchmark::Bitcnt],
             &crate::cores()[..1],
@@ -719,6 +689,7 @@ mod tests {
             2,
             &sup,
             None,
+            &Isolation::Thread,
         );
         let bad = grid.cell(Benchmark::Bitcnt, "BIG", Mode::Redsoc).unwrap();
         assert_eq!(bad.status, JobStatus::Quarantined);
@@ -737,7 +708,7 @@ mod tests {
             faults: FaultPlan::none().with("crc/BIG/baseline", Fault::Hang),
             ..SupervisorConfig::default()
         };
-        let grid = run_grid_supervised(
+        let grid = run_grid_isolated(
             &cache,
             &[Benchmark::Crc],
             &crate::cores()[..1],
@@ -745,6 +716,7 @@ mod tests {
             1,
             &sup,
             None,
+            &Isolation::Thread,
         );
         let cell = grid.cell(Benchmark::Crc, "BIG", Mode::Baseline).unwrap();
         assert_eq!(cell.status, JobStatus::Timeout);
@@ -764,7 +736,7 @@ mod tests {
             faults: FaultPlan::none().with("bitcnt/BIG/baseline", Fault::Fail),
             ..SupervisorConfig::default()
         };
-        let grid = run_grid_supervised(
+        let grid = run_grid_isolated(
             &cache,
             &[Benchmark::Bitcnt],
             &crate::cores()[..1],
@@ -772,6 +744,7 @@ mod tests {
             1,
             &sup,
             None,
+            &Isolation::Thread,
         );
         let ts = grid.cell(Benchmark::Bitcnt, "BIG", Mode::Ts).unwrap();
         assert_eq!(ts.status, JobStatus::Failed);

@@ -2,7 +2,7 @@
 //!
 //! A sweep cell runs under a **supervisor** ([`supervise`]): the job body
 //! executes inside `catch_unwind`, every failure is classified into a
-//! structured [`JobError`], transient failures (panics, poisoned state)
+//! structured [`JobError`], transient failures (panics, worker deaths)
 //! are retried with deterministic exponential backoff, and jobs that keep
 //! failing are **quarantined** rather than allowed to abort the sweep.
 //! Deterministic failures — simulator errors and cycle-budget timeouts —
@@ -39,8 +39,6 @@ pub enum JobError {
         /// The cycle budget the job exceeded.
         budget: u64,
     },
-    /// Shared state (a lock) was poisoned by another worker's panic.
-    Poisoned,
     /// A job this one depends on (the TS comparator's baseline) did not
     /// complete successfully.
     DependencyFailed {
@@ -71,14 +69,13 @@ pub enum JobError {
 }
 
 impl JobError {
-    /// Short machine-readable kind label (the v3 JSON `error.kind`).
+    /// Short machine-readable kind label (the sweep JSON `error.kind`).
     #[must_use]
     pub fn kind(&self) -> &'static str {
         match self {
             JobError::Sim(_) => "sim",
             JobError::Panicked { .. } => "panicked",
             JobError::Timeout { .. } => "timeout",
-            JobError::Poisoned => "poisoned",
             JobError::DependencyFailed { .. } => "dependency",
             JobError::Killed { .. } => "killed",
             JobError::OomKilled => "oom-killed",
@@ -87,8 +84,8 @@ impl JobError {
         }
     }
 
-    /// Whether retrying could plausibly succeed. Panics, poisoning, and
-    /// every worker-death mode can be environmental (another worker's
+    /// Whether retrying could plausibly succeed. Panics and every
+    /// worker-death mode can be environmental (another worker's
     /// crash, an external kill, a bug tripped by timing); simulator
     /// errors and cycle budgets are deterministic.
     #[must_use]
@@ -96,7 +93,6 @@ impl JobError {
         matches!(
             self,
             JobError::Panicked { .. }
-                | JobError::Poisoned
                 | JobError::Killed { .. }
                 | JobError::OomKilled
                 | JobError::HeartbeatLost { .. }
@@ -111,7 +107,6 @@ impl JobError {
         match self {
             JobError::Timeout { .. } => JobStatus::Timeout,
             JobError::Panicked { .. }
-            | JobError::Poisoned
             | JobError::Killed { .. }
             | JobError::OomKilled
             | JobError::HeartbeatLost { .. }
@@ -129,7 +124,6 @@ impl core::fmt::Display for JobError {
             JobError::Timeout { budget } => {
                 write!(f, "exceeded cycle budget of {budget} cycles")
             }
-            JobError::Poisoned => write!(f, "shared state poisoned by another worker's panic"),
             JobError::DependencyFailed { key } => {
                 write!(f, "dependency {key} did not complete")
             }
@@ -621,7 +615,6 @@ mod tests {
             .terminal_status(),
             JobStatus::Quarantined
         );
-        assert_eq!(JobError::Poisoned.terminal_status(), JobStatus::Quarantined);
     }
 
     #[test]

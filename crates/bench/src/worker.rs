@@ -12,30 +12,26 @@
 //! (1..=[`MAX_FRAME`] bytes) followed by one compact JSON object with a
 //! `type` field. Frame types: `hello` (worker → parent, once at startup),
 //! `job` (parent → worker, one grid cell), `heartbeat` (worker → parent,
-//! wall-timed liveness carrying the latest simulated cycle at
-//! cancellation-poll granularity), `ok` / `err` (worker → parent, one per
-//! job), and `shutdown` (parent → worker). Anything else — a torn frame,
-//! an oversized prefix, garbage bytes, an EOF mid-frame — is a
-//! [`FrameError::Protocol`] and never a panic or a hang.
+//! wall-timed liveness while a job runs), `ok` / `err` (worker → parent,
+//! one per job), and `shutdown` (parent → worker). Anything else — a
+//! torn frame, an oversized prefix, garbage bytes, an EOF mid-frame — is
+//! a [`FrameError::Protocol`] and never a panic or a hang.
 //!
 //! **Worker lifecycle.** The worker optionally caps its own address
 //! space via `setrlimit(RLIMIT_AS)` before the first frame, then loops:
 //! read a job frame, rebuild the [`Job`] from names, verify the parent's
-//! configuration digest, execute one attempt (under `catch_unwind`, with
-//! a progress-observing
-//! [`CancelToken`](redsoc_core::pipeline::CancelToken)), and reply `ok`
-//! or `err`. The
-//! trace cache persists across jobs, so a recycled worker is the only
-//! thing that pays trace generation twice. Stdout carries only frames;
-//! human diagnostics go to stderr, which the parent tails into the
-//! failure record of any cell whose worker dies.
+//! configuration digest, execute one attempt (under `catch_unwind`), and
+//! reply `ok` or `err`. The trace cache persists across jobs, so a
+//! recycled worker is the only thing that pays trace generation twice.
+//! Stdout carries only frames; human diagnostics go to stderr, which the
+//! parent tails into the failure record of any cell whose worker dies.
 //!
 //! The parent half — the pool, heartbeat supervision, and failure
 //! classification — lives in [`pool`](crate::pool).
 
 use std::io::{Read, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -242,7 +238,6 @@ impl JobSpec {
 /// how its failure reads.
 #[must_use]
 pub fn job_error_to_json(err: &JobError) -> Json {
-    let kinded = |k: &str| vec![("kind", Json::str(k))];
     match err {
         JobError::Sim(SimError::Deadlock {
             cycle,
@@ -282,7 +277,6 @@ pub fn job_error_to_json(err: &JobError) -> Json {
             ("kind", Json::str("timeout")),
             ("budget", Json::num(*budget as f64)),
         ]),
-        JobError::Poisoned => Json::obj(kinded("poisoned")),
         JobError::DependencyFailed { key } => Json::obj(vec![
             ("kind", Json::str("dependency")),
             ("key", Json::str(key)),
@@ -291,7 +285,7 @@ pub fn job_error_to_json(err: &JobError) -> Json {
             ("kind", Json::str("killed")),
             ("signal", Json::num(f64::from(*signal))),
         ]),
-        JobError::OomKilled => Json::obj(kinded("oom-killed")),
+        JobError::OomKilled => Json::obj(vec![("kind", Json::str("oom-killed"))]),
         JobError::HeartbeatLost { timeout_ms } => Json::obj(vec![
             ("kind", Json::str("heartbeat-lost")),
             ("timeout_ms", Json::num(*timeout_ms as f64)),
@@ -349,7 +343,6 @@ pub fn job_error_from_json(doc: &Json) -> Result<JobError, String> {
         "timeout" => Ok(JobError::Timeout {
             budget: num_field("budget")? as u64,
         }),
-        "poisoned" => Ok(JobError::Poisoned),
         "dependency" => Ok(JobError::DependencyFailed {
             key: str_field("key")?,
         }),
@@ -467,9 +460,6 @@ struct WorkerShared {
     /// A job is currently executing (heartbeats are emitted only then,
     /// so an idle worker never fills the pipe).
     active: AtomicBool,
-    /// Latest simulated cycle, published by the [`CancelToken`] progress
-    /// observer at cancellation-poll granularity.
-    progress: AtomicU64,
 }
 
 impl WorkerShared {
@@ -573,24 +563,11 @@ fn run_job(spec: &JobSpec, cache: &TraceCache, shared: &Arc<WorkerShared>) -> Js
     if let Some(f) = fault {
         sup.faults = FaultPlan::none().with(&key, f);
     }
-    let progress = Arc::new(AtomicU64::new(0));
-    shared.progress.store(0, Ordering::Relaxed);
     shared.active.store(true, Ordering::Relaxed);
     let start = Instant::now();
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        attempt_with_faults(
-            cache,
-            &job,
-            spec.ts_base,
-            &sup,
-            spec.attempt,
-            Some(&progress),
-        )
+        attempt_with_faults(cache, &job, spec.ts_base, &sup, spec.attempt)
     }));
-    // Publish the final cycle for one last heartbeat, then deactivate.
-    shared
-        .progress
-        .store(progress.load(Ordering::Relaxed), Ordering::Relaxed);
     shared.active.store(false, Ordering::Relaxed);
 
     match outcome {
@@ -630,7 +607,6 @@ pub fn run_worker(opts: &WorkerOptions) -> Result<(), String> {
     let shared = Arc::new(WorkerShared {
         out: Mutex::new(std::io::stdout()),
         active: AtomicBool::new(false),
-        progress: AtomicU64::new(0),
     });
     shared
         .send(&Json::obj(vec![
@@ -645,13 +621,7 @@ pub fn run_worker(opts: &WorkerOptions) -> Result<(), String> {
     std::thread::spawn(move || loop {
         std::thread::sleep(period);
         if beat.active.load(Ordering::Relaxed) {
-            let frame = Json::obj(vec![
-                ("type", Json::str("heartbeat")),
-                (
-                    "cycle",
-                    Json::num(beat.progress.load(Ordering::Relaxed) as f64),
-                ),
-            ]);
+            let frame = Json::obj(vec![("type", Json::str("heartbeat"))]);
             if beat.send(&frame).is_err() {
                 break; // parent is gone; the main loop will see EOF too
             }
@@ -833,7 +803,6 @@ mod tests {
                 payload: "boom".into(),
             },
             JobError::Timeout { budget: 5000 },
-            JobError::Poisoned,
             JobError::DependencyFailed {
                 key: "a/B/c".into(),
             },

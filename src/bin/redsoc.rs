@@ -12,7 +12,6 @@
 //! redsoc bench --resume sweep.jnl --out BENCH_sweep.json
 //! redsoc chaos --kills 5 --seed 1 --len 20000
 //! redsoc sweepcmp a_sweep.json b_sweep.json
-//! redsoc perfgate BENCH_sweep.json fresh_sweep.json --tolerance 15
 //! ```
 //!
 //! Exit codes are structured so scripts can tell failure modes apart:
@@ -27,9 +26,7 @@ use std::process::ExitCode;
 
 use redsoc::bench::journal::Journal;
 use redsoc::bench::pool::WorkerPoolConfig;
-use redsoc::bench::runner::{
-    canonicalize_sweep, run_grid_isolated, run_grid_supervised, sweep_json, Isolation, Mode,
-};
+use redsoc::bench::runner::{canonicalize_sweep, run_grid_isolated, sweep_json, Isolation, Mode};
 use redsoc::bench::supervisor::{FaultPlan, SupervisorConfig};
 use redsoc::core::sched::ts::run_ts;
 use redsoc::prelude::*;
@@ -200,8 +197,8 @@ fn print_report(label: &str, rep: &SimReport) {
         );
     }
     println!(
-        "EGPW issues   {:>12}  (wasted {})",
-        rep.egpw_issues, rep.egpw_wasted
+        "EGPW issues   {:>12}  (wasted {}, GP mispeculations {})",
+        rep.egpw_issues, rep.egpw_wasted, rep.gp_mispeculations
     );
     println!("2-cycle holds {:>12}", rep.two_cycle_holds);
     println!(
@@ -450,7 +447,6 @@ fn cmd_bench(args: &[String]) -> CliResult {
             "mem-model",
             "isolation",
             "mem-limit-mb",
-            "worker-recycle",
             "heartbeat-timeout-ms",
         ],
     )?;
@@ -476,7 +472,7 @@ fn cmd_bench(args: &[String]) -> CliResult {
 
     let isolation = match flags.get("isolation").unwrap_or("thread") {
         "thread" => {
-            for f in ["mem-limit-mb", "worker-recycle", "heartbeat-timeout-ms"] {
+            for f in ["mem-limit-mb", "heartbeat-timeout-ms"] {
                 if flags.get(f).is_some() {
                     return Err(usage_err(format!("--{f} requires --isolation process")));
                 }
@@ -493,10 +489,6 @@ fn cmd_bench(args: &[String]) -> CliResult {
                     return Err(usage_err("--mem-limit-mb must be a positive MiB count"));
                 }
                 cfg.mem_limit_mb = Some(mb);
-            }
-            cfg.recycle_after = flags.num("worker-recycle", cfg.recycle_after)?;
-            if cfg.recycle_after == 0 {
-                return Err(usage_err("--worker-recycle must be a positive job count"));
             }
             let hb: u64 = flags.num(
                 "heartbeat-timeout-ms",
@@ -673,7 +665,7 @@ fn cmd_chaos(args: &[String]) -> CliResult {
     // reproduce byte-identically after canonicalisation.
     println!("chaos: reference sweep (len {len}, {threads} thread(s), no interruptions)");
     let cache = redsoc::bench::TraceCache::new(len);
-    let grid = run_grid_supervised(
+    let grid = run_grid_isolated(
         &cache,
         &Benchmark::all(),
         &redsoc::bench::cores(),
@@ -681,6 +673,7 @@ fn cmd_chaos(args: &[String]) -> CliResult {
         threads,
         &SupervisorConfig::default(),
         None,
+        &Isolation::Thread,
     );
     if !grid.fully_ok() {
         return Err(CliError::Sim(
@@ -971,143 +964,6 @@ fn cmd_sweepcmp(args: &[String]) -> CliResult {
     }
 }
 
-/// Perf-regression gate: compare a fresh sweep's runtime against the
-/// committed `BENCH_sweep.json` baseline.
-///
-/// The gated metric is the sweep's `cpu_seconds` (the sum of per-job
-/// runtimes): unlike the top-level `wall_seconds` it does not shrink as
-/// `--threads` grows, so the comparison is stable across worker counts
-/// — as long as workers do not exceed physical cores, which would
-/// timeshare jobs and inflate their measured runtimes. The baseline is
-/// captured at `--threads 1` for that reason; compare against sweeps
-/// run with `--threads` ≤ the machine's core count. The gate fails
-/// (exit 1) when the fresh sweep is more than `--tolerance` percent
-/// slower than the baseline (default 15%, per the project's perf
-/// budget).
-///
-/// Updating the baseline after an *intentional* perf change:
-///
-/// ```text
-/// cargo build --release
-/// ./target/release/redsoc bench --threads 1 --len 2000 --out BENCH_sweep.json
-/// git add BENCH_sweep.json   # commit alongside the change that moved it
-/// ```
-///
-/// The committed numbers are machine-specific; refresh the baseline on
-/// the reference machine (or raise `--tolerance` in CI) when the
-/// hardware changes.
-fn cmd_perfgate(args: &[String]) -> CliResult {
-    use redsoc::bench::json::Json;
-    let (paths, rest) = args.split_at(args.len().min(2));
-    let [baseline_path, fresh_path] = paths else {
-        return Err(usage_err(
-            "usage: redsoc perfgate <baseline.json> <fresh.json> [--tolerance PCT]",
-        ));
-    };
-    let flags = Flags::parse(rest, &["tolerance"])?;
-    let tolerance: f64 = flags.num("tolerance", 15.0)?;
-    if !(0.0..=1000.0).contains(&tolerance) {
-        return Err(usage_err("--tolerance must be a percentage in 0..=1000"));
-    }
-
-    let load = |path: &String| -> Result<Json, CliError> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| CliError::Io(format!("cannot read {path}: {e}")))?;
-        Json::parse(&text).map_err(|e| usage_err(format!("{path}: not valid sweep JSON: {e}")))
-    };
-    let num = |doc: &Json, path: &str, key: &str| -> Result<f64, CliError> {
-        doc.get(key)
-            .and_then(Json::as_num)
-            .ok_or_else(|| usage_err(format!("{path}: missing numeric {key:?} field")))
-    };
-    let (base, fresh) = (load(baseline_path)?, load(fresh_path)?);
-
-    // The gate only makes sense over the same grid: a different trace
-    // length or job count is the caller comparing the wrong sweeps.
-    let (b_len, f_len) = (
-        num(&base, baseline_path, "trace_len")?,
-        num(&fresh, fresh_path, "trace_len")?,
-    );
-    if b_len != f_len {
-        return Err(usage_err(format!(
-            "trace_len differs ({b_len} vs {f_len}): sweeps are not comparable"
-        )));
-    }
-    let jobs = |doc: &Json| doc.get("jobs").and_then(Json::as_arr).map_or(0, <[_]>::len);
-    if jobs(&base) != jobs(&fresh) {
-        return Err(usage_err(format!(
-            "job count differs ({} vs {}): sweeps are not comparable",
-            jobs(&base),
-            jobs(&fresh)
-        )));
-    }
-
-    let b_cpu = num(&base, baseline_path, "cpu_seconds")?;
-    let f_cpu = num(&fresh, fresh_path, "cpu_seconds")?;
-    if b_cpu <= 0.0 {
-        return Err(usage_err(format!(
-            "{baseline_path}: baseline cpu_seconds must be positive"
-        )));
-    }
-    let ratio = f_cpu / b_cpu;
-    println!(
-        "perfgate: baseline {b_cpu:.2}s cpu, fresh {f_cpu:.2}s cpu ({ratio:.3}x, tolerance +{tolerance:.0}%)"
-    );
-
-    // Per-job wall times make a sweep-level regression debuggable: show
-    // the worst cells so the offending (benchmark, core, mode) is in
-    // the gate output, not just the total.
-    let cell_times = |doc: &Json| -> Vec<(String, f64)> {
-        doc.get("jobs")
-            .and_then(Json::as_arr)
-            .unwrap_or(&[])
-            .iter()
-            .filter_map(|j| {
-                let key = format!(
-                    "{}/{}/{}",
-                    j.get("benchmark").and_then(Json::as_str)?,
-                    j.get("core").and_then(Json::as_str)?,
-                    j.get("mode").and_then(Json::as_str)?
-                );
-                Some((key, j.get("wall_seconds").and_then(Json::as_num)?))
-            })
-            .collect()
-    };
-    let base_cells = cell_times(&base);
-    let mut worst: Vec<(String, f64, f64)> = cell_times(&fresh)
-        .into_iter()
-        .filter_map(|(key, f_s)| {
-            let (_, b_s) = base_cells.iter().find(|(k, _)| *k == key)?;
-            (*b_s > 1e-9).then_some((key, *b_s, f_s))
-        })
-        .collect();
-    worst.sort_by(|a, b| {
-        (b.2 / b.1)
-            .partial_cmp(&(a.2 / a.1))
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    for (key, b_s, f_s) in worst.iter().take(3) {
-        println!(
-            "  slowest-moving cell: {key}  {b_s:.3}s -> {f_s:.3}s ({:.2}x)",
-            f_s / b_s
-        );
-    }
-
-    if ratio > 1.0 + tolerance / 100.0 {
-        Err(CliError::Io(format!(
-            "perf regression: fresh sweep is {:.1}% slower than the committed baseline \
-             (gate: +{tolerance:.0}%).\n\
-             If this slowdown is intentional, refresh the baseline and commit it:\n\
-             \x20 cargo build --release\n\
-             \x20 ./target/release/redsoc bench --threads 1 --len 2000 --out BENCH_sweep.json",
-            (ratio - 1.0) * 100.0
-        )))
-    } else {
-        println!("perfgate: OK");
-        Ok(())
-    }
-}
-
 fn cmd_fuzz(args: &[String]) -> CliResult {
     use redsoc::verify::oracle::SchedKind;
     use redsoc::verify::{run_fuzz, FuzzConfig};
@@ -1237,7 +1093,6 @@ fn usage() -> String {
      \x20                          --isolation thread|process  run each cell in-thread\n\
      \x20                          (default) or in supervised worker child processes;\n\
      \x20                          with process: --mem-limit-mb N  per-worker RLIMIT_AS,\n\
-     \x20                          --worker-recycle N  retire workers after N jobs,\n\
      \x20                          --heartbeat-timeout-ms N  kill silent workers)\n\
      \x20 worker [flags]           internal: one pool worker child (spawned by\n\
      \x20                          bench --isolation process; speaks frames on stdio)\n\
@@ -1250,9 +1105,6 @@ fn usage() -> String {
      \x20                          workers of a process-isolated sweep instead — the\n\
      \x20                          sweep must absorb every kill and still match)\n\
      \x20 sweepcmp <a> <b>         compare two sweep JSONs, ignoring wall-clock and thread count\n\
-     \x20 perfgate <base> <fresh>  perf-regression gate: fail if <fresh> is more than\n\
-     \x20                          --tolerance percent (default 15) slower in cpu_seconds\n\
-     \x20                          than the committed baseline sweep\n\
      \x20 fuzz [flags]             differential fuzzing: random programs through the\n\
      \x20                          interpreter and every scheduler in lockstep\n\
      \x20                          (--seed N  --cases N  --max-instrs N\n\
@@ -1279,7 +1131,6 @@ fn main() -> ExitCode {
         Some("worker") => cmd_worker(&args[1..]),
         Some("chaos") => cmd_chaos(&args[1..]),
         Some("sweepcmp") => cmd_sweepcmp(&args[1..]),
-        Some("perfgate") => cmd_perfgate(&args[1..]),
         Some("fuzz") => cmd_fuzz(&args[1..]),
         _ => Err(CliError::Usage(usage())),
     };
