@@ -169,11 +169,6 @@ pub struct Cell {
     pub attempts: u32,
     /// Restored from a resume journal instead of executed.
     pub restored: bool,
-    /// Total *scheduled* retry backoff across the cell's attempts — the
-    /// deterministic sum of planned delays (`Σ backoff(n)`), never the
-    /// elapsed sleep time, so it is identical across machines for
-    /// identical retry histories (journaled value for restored cells).
-    pub retry_backoff: Duration,
     /// Wall-clock of this cell (journaled value for restored cells).
     pub wall: Duration,
     /// Full in-process result — present only for cells executed
@@ -407,15 +402,6 @@ pub fn sweep_json(grid: &Grid, trace_len: u64) -> Json {
             if let Some(memory) = memory {
                 fields.push(("memory", memory));
             }
-            // Scheduled (not elapsed) retry delay; emitted only when the
-            // cell actually retried, so clean sweeps — including the
-            // committed golden fixture — keep their exact key set.
-            if !c.retry_backoff.is_zero() {
-                fields.push((
-                    "retry_backoff_ms",
-                    Json::num(c.retry_backoff.as_millis() as f64),
-                ));
-            }
             fields.push(("error", error));
             Json::obj(fields)
         })
@@ -443,11 +429,11 @@ pub fn sweep_json(grid: &Grid, trace_len: u64) -> Json {
 /// Canonicalise a sweep document for comparison: wall-clock fields
 /// (`wall_seconds`, `cpu_seconds`) and the worker-thread count are
 /// measurement environment rather than simulation output, and
-/// `restored`, `attempts`, and `retry_backoff_ms` are recovery
-/// provenance (how many tries the environment cost, not what the
-/// simulation computed), so they are neutralised recursively
-/// (`attempts` to 1, `retry_backoff_ms` dropped — it is only emitted
-/// when retries happened). Two canonicalised documents from the same
+/// `restored` and `attempts` are recovery provenance (how many tries the
+/// environment cost, not what the simulation computed), so they are
+/// neutralised recursively (`attempts` to 1). `retry_backoff_ms`, which
+/// older builds emitted on rows that retried, is dropped so their
+/// documents still compare. Two canonicalised documents from the same
 /// grid — uninterrupted, crashed-and-resumed, kill-stormed under
 /// process isolation, or run at different parallelism — must be
 /// byte-identical.
@@ -519,9 +505,10 @@ mod tests {
 
     #[test]
     fn canonicalize_neutralises_recovery_provenance() {
-        // A row that retried (attempts 2, scheduled backoff present) must
-        // canonicalise identically to the same row run clean (attempts 1,
-        // no backoff key at all): retries are environment, not results.
+        // A row that retried (attempts 2, plus the backoff key older
+        // builds wrote) must canonicalise identically to the same row run
+        // clean (attempts 1, no backoff key): retries are environment,
+        // not results.
         let retried = Json::obj(vec![
             ("attempts", Json::Num(2.0)),
             ("retry_backoff_ms", Json::Num(25.0)),
@@ -532,52 +519,5 @@ mod tests {
             ("cycles", Json::Num(10.0)),
         ]);
         assert_eq!(canonicalize_sweep(&retried), canonicalize_sweep(&clean));
-    }
-
-    #[test]
-    fn sweep_json_emits_retry_backoff_only_when_nonzero() {
-        use crate::supervisor::JobStatus;
-        let job = Job {
-            bench: Benchmark::Bitcnt,
-            core_name: "BIG",
-            core: CoreConfig::big(),
-            mode: Mode::Baseline,
-        };
-        let mut cell = Cell {
-            job,
-            status: JobStatus::Ok,
-            attempts: 1,
-            restored: false,
-            retry_backoff: Duration::ZERO,
-            wall: Duration::from_millis(5),
-            result: None,
-            summary: Some(CellSummary::Sim {
-                cycles: 100,
-                committed: 50,
-                stalls: [0; 10],
-                memory: None,
-            }),
-            failure: None,
-        };
-        let grid_of = |cell: &Cell| Grid {
-            cells: HashMap::from([(
-                (cell.job.bench, cell.job.core_name, cell.job.mode),
-                cell.clone(),
-            )]),
-            wall: Duration::ZERO,
-            threads: 1,
-        };
-        let row = |g: &Grid| sweep_json(g, 100).get("jobs").unwrap().as_arr().unwrap()[0].clone();
-        assert_eq!(
-            row(&grid_of(&cell)).get("retry_backoff_ms"),
-            None,
-            "clean cells must not grow a new key (golden-fixture stability)"
-        );
-        cell.attempts = 3;
-        cell.retry_backoff = Duration::from_millis(75);
-        assert_eq!(
-            row(&grid_of(&cell)).get("retry_backoff_ms"),
-            Some(&Json::Num(75.0))
-        );
     }
 }

@@ -59,7 +59,10 @@ pub struct JournalRecord {
     pub digest: String,
     /// Attempts the job took when it originally ran (1 = first try).
     pub attempts: u32,
-    /// Scheduled (not elapsed) retry backoff summed across attempts, ms.
+    /// Retry backoff in ms, from builds that slept between retries. New
+    /// records write 0 and resume ignores it; the field (and its
+    /// (de)serialisation) stays only because the benchmark harness names
+    /// it in a struct literal. Drop it when the benchmark next changes.
     pub backoff_ms: u64,
     /// Wall-clock seconds the job took when it originally ran.
     pub wall_seconds: f64,
@@ -77,7 +80,7 @@ impl JournalRecord {
             ("attempts", Json::num(f64::from(self.attempts))),
             ("wall_seconds", Json::Num(self.wall_seconds)),
         ];
-        // Only when retries happened: clean-run lines stay byte-identical.
+        // Written only when nonzero, which this build never records.
         if self.backoff_ms > 0 {
             pairs.push(("backoff_ms", Json::num(self.backoff_ms as f64)));
         }

@@ -15,7 +15,7 @@
 //!   pool under per-job supervision and collects a [`runner::Grid`] of
 //!   cells, honouring `REDSOC_THREADS`;
 //! - [`supervisor`] — the job supervisor: `catch_unwind` isolation, the
-//!   structured `JobError` taxonomy, bounded deterministic retries,
+//!   structured `JobError` taxonomy, bounded immediate retries,
 //!   quarantine, and the fault-injection plan used by the crash tests;
 //! - [`journal`] — the append-only JSONL checkpoint behind
 //!   `redsoc bench --resume`: completed cells survive a mid-sweep crash
@@ -25,8 +25,8 @@
 //! - [`worker`] / [`pool`] — the process-isolation tier behind
 //!   `redsoc bench --isolation process`: a length-prefixed frame
 //!   protocol spoken by disposable `redsoc worker` children, and the
-//!   parent-side pool that supervises them with heartbeats, wall-clock
-//!   deadlines, and hard memory budgets.
+//!   parent-side pool that bounds every attempt with one wall-clock
+//!   deadline on its reply and every worker with a hard memory budget.
 
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]

@@ -2,36 +2,32 @@
 //!
 //! Each sweep thread owns at most one `redsoc worker` child (a
 //! thread-local slot): jobs ship to it one at a time over the
-//! length-prefixed frame protocol in [`worker`](crate::worker), and the
-//! parent supervises every attempt with a heartbeat deadline. The
+//! length-prefixed frame protocol in [`worker`](crate::worker). The
 //! supervision contract:
 //!
-//! - **Heartbeats are the wall clock.** The worker emits a `heartbeat`
-//!   frame on a wall timer while a job is active; the parent waits for
-//!   *any* frame with [`WorkerPoolConfig::heartbeat_timeout`]. Silence —
-//!   a wedged simulator loop, a frozen child, a livelock — is
-//!   indistinguishable from death and handled the same way: SIGKILL,
-//!   then [`JobError::HeartbeatLost`].
+//! - **One deadline per attempt.** The parent writes the job frame and
+//!   waits [`WorkerPoolConfig::wall_timeout`] for the `ok`/`err` reply.
+//!   No reply in time — a wedged simulator loop, a livelock, a stuck
+//!   child — means SIGKILL, then [`JobError::WallTimeout`].
 //! - **Death is classified, not propagated.** A worker that dies
-//!   mid-job becomes a structured [`JobError`] on that one cell: signal
-//!   deaths are [`JobError::Killed`], allocation-failure aborts under a
-//!   memory budget are [`JobError::OomKilled`] (keyed on Rust's
-//!   `memory allocation of … failed` stderr marker), and a clean exit or
-//!   torn frame mid-job is a [`JobError::ProtocolError`]. The worker's
-//!   last stderr lines ride along as the failure's event dump.
+//!   mid-job becomes a structured [`JobError`] on that one cell: a death
+//!   whose stderr carries Rust's `memory allocation of … failed` marker
+//!   is [`JobError::OomKilled`], any other signal death is
+//!   [`JobError::Killed`], and a clean exit or torn frame mid-job is a
+//!   [`JobError::ProtocolError`]. The worker's last stderr lines ride
+//!   along as the failure's event dump.
 //! - **Workers are disposable.** Any transport failure discards the
-//!   child; the next attempt (the supervisor's retry machinery is
-//!   unchanged) spawns a fresh one. Healthy workers are recycled after
-//!   `RECYCLE_AFTER` (32) jobs to bound slow leaks, the classic
-//!   disposable-worker hygiene. Worker-reported *job* failures
-//!   (a deadlock, a timeout, a caught panic) leave the worker alive —
-//!   its trace cache is warm and the failure was contained.
+//!   child; the next attempt spawns a fresh one. A healthy worker lives
+//!   until its sweep thread ends. Worker-reported *job* failures (a
+//!   deadlock, a timeout, a caught panic) leave the worker alive — its
+//!   trace cache is warm and the failure was contained.
 
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::{Arc, Mutex, PoisonError};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::journal::JournalRecord;
@@ -45,10 +41,6 @@ use crate::worker::{
 /// event dump for a dead worker).
 const STDERR_TAIL: usize = 40;
 
-/// Retire a healthy worker after this many jobs (crashed workers are
-/// always discarded immediately).
-const RECYCLE_AFTER: u32 = 32;
-
 /// Configuration for the process-isolation tier.
 #[derive(Debug, Clone)]
 pub struct WorkerPoolConfig {
@@ -58,27 +50,20 @@ pub struct WorkerPoolConfig {
     /// Per-worker address-space cap, applied by the worker itself via
     /// `setrlimit(RLIMIT_AS)` before its first job.
     pub mem_limit_mb: Option<u64>,
-    /// How long the parent tolerates frame silence before declaring the
-    /// worker lost and killing it — the per-attempt wall-clock limit.
-    pub heartbeat_timeout: Duration,
+    /// How long the parent waits for a job's reply before killing the
+    /// worker — the per-attempt wall-clock limit.
+    pub wall_timeout: Duration,
 }
 
 impl WorkerPoolConfig {
-    /// Defaults: no memory cap, 30 s heartbeat deadline.
+    /// Defaults: no memory cap, 30 s reply deadline.
     #[must_use]
     pub fn new(exe: PathBuf) -> Self {
         WorkerPoolConfig {
             exe,
             mem_limit_mb: None,
-            heartbeat_timeout: Duration::from_secs(30),
+            wall_timeout: Duration::from_secs(30),
         }
-    }
-
-    /// Worker-side heartbeat period: a quarter of the parent's deadline
-    /// (floor 25 ms), so a healthy worker gets ~4 chances per window.
-    #[must_use]
-    pub fn heartbeat_period_ms(&self) -> u64 {
-        (self.heartbeat_timeout.as_millis() as u64 / 4).max(25)
     }
 }
 
@@ -89,7 +74,9 @@ struct WorkerHandle {
     /// Frames from the reader thread; a send of `Err` is terminal.
     frames: Receiver<Result<Json, FrameError>>,
     stderr_tail: Arc<Mutex<VecDeque<String>>>,
-    jobs_done: u32,
+    /// The thread filling `stderr_tail`; it ends at the worker's stderr
+    /// EOF, so once it has finished the tail is complete.
+    stderr_drain: JoinHandle<()>,
 }
 
 /// What one dispatch did to the worker.
@@ -104,8 +91,6 @@ impl WorkerHandle {
     fn spawn(cfg: &WorkerPoolConfig) -> Result<WorkerHandle, String> {
         let mut cmd = std::process::Command::new(&cfg.exe);
         cmd.arg("worker")
-            .arg("--heartbeat-ms")
-            .arg(cfg.heartbeat_period_ms().to_string())
             .stdin(std::process::Stdio::piped())
             .stdout(std::process::Stdio::piped())
             .stderr(std::process::Stdio::piped())
@@ -136,7 +121,7 @@ impl WorkerHandle {
         });
         let stderr_tail = Arc::new(Mutex::new(VecDeque::new()));
         let tail = Arc::clone(&stderr_tail);
-        std::thread::spawn(move || {
+        let stderr_drain = std::thread::spawn(move || {
             for line in BufReader::new(stderr).lines() {
                 let Ok(line) = line else { break };
                 let mut tail = tail.lock().unwrap_or_else(PoisonError::into_inner);
@@ -147,23 +132,13 @@ impl WorkerHandle {
             }
         });
 
-        let mut handle = WorkerHandle {
+        Ok(WorkerHandle {
             child,
             stdin,
             frames,
             stderr_tail,
-            jobs_done: 0,
-        };
-        // Handshake: the worker announces itself before any job ships.
-        match handle.frames.recv_timeout(cfg.heartbeat_timeout) {
-            Ok(Ok(frame)) if frame.get("type").and_then(Json::as_str) == Some("hello") => {
-                Ok(handle)
-            }
-            other => {
-                handle.kill_now();
-                Err(format!("worker failed its hello handshake: {other:?}"))
-            }
-        }
+            stderr_drain,
+        })
     }
 
     fn kill_now(&mut self) {
@@ -181,17 +156,16 @@ impl WorkerHandle {
     }
 
     /// Classify a worker that died (or was killed) mid-job. Waits for
-    /// the real exit status so the death signal is known.
-    fn classify_death(&mut self, mem_limited: bool) -> (JobError, Vec<String>) {
-        // Give the stderr drain thread a beat to flush the last lines
-        // (the OOM marker arrives just before the abort signal lands).
+    /// the real exit status so the death signal is known, then up to
+    /// 200 ms for the stderr drain to reach EOF, so a marker printed just
+    /// before the abort is in the tail.
+    fn classify_death(&mut self) -> (JobError, Vec<String>) {
         let status = self.child.wait();
         let deadline = Instant::now() + Duration::from_millis(200);
-        let mut events = self.tail();
-        while events.is_empty() && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(10));
-            events = self.tail();
+        while !self.stderr_drain.is_finished() && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
         }
+        let events = self.tail();
         let oom_marker = events.iter().any(|l| l.contains("memory allocation of"));
         let error = match status {
             Ok(status) => {
@@ -199,14 +173,7 @@ impl WorkerHandle {
                 let signal = std::os::unix::process::ExitStatusExt::signal(&status);
                 #[cfg(not(unix))]
                 let signal: Option<i32> = None;
-                match signal {
-                    Some(_) if oom_marker && mem_limited => JobError::OomKilled,
-                    Some(signal) => JobError::Killed { signal },
-                    None if oom_marker => JobError::OomKilled,
-                    None => JobError::ProtocolError {
-                        detail: format!("worker exited mid-job with {status}"),
-                    },
-                }
+                death_error(signal, oom_marker, &status.to_string())
             }
             Err(e) => JobError::ProtocolError {
                 detail: format!("cannot reap dead worker: {e}"),
@@ -215,99 +182,79 @@ impl WorkerHandle {
         (error, events)
     }
 
-    /// Ship one job and supervise it to a reply, a death, or a
-    /// heartbeat-silence kill.
+    /// Ship one job and supervise it to a reply, a death, or a kill at
+    /// the wall-clock deadline.
     fn dispatch(&mut self, cfg: &WorkerPoolConfig, spec: &JobSpec) -> Dispatch {
         if let Err(e) = write_frame(&mut self.stdin, &spec.to_json()) {
-            let (mut err, events) = self.classify_death(cfg.mem_limit_mb.is_some());
+            let (mut err, events) = self.classify_death();
             if let JobError::ProtocolError { detail } = &mut err {
                 *detail = format!("job frame write failed ({e}); {detail}");
             }
             return Dispatch::Lost(err, events);
         }
-        loop {
-            match self.frames.recv_timeout(cfg.heartbeat_timeout) {
-                Ok(Ok(frame)) => match frame.get("type").and_then(Json::as_str) {
-                    Some("heartbeat") => {}
-                    Some("ok") => {
-                        let record = frame
-                            .get("record")
-                            .ok_or_else(|| "ok frame without record".to_string())
-                            .and_then(JournalRecord::from_json);
-                        match record {
-                            Ok(rec) => return Dispatch::Done(Ok(rec.summary)),
-                            Err(e) => {
-                                self.kill_now();
-                                return Dispatch::Lost(
-                                    JobError::ProtocolError {
-                                        detail: format!("unparseable ok frame: {e}"),
-                                    },
-                                    self.tail(),
-                                );
-                            }
-                        }
-                    }
-                    Some("err") => {
-                        let error = frame
-                            .get("error")
-                            .ok_or_else(|| "err frame without error".to_string())
-                            .and_then(job_error_from_json);
-                        let events: Vec<String> = frame
-                            .get("events")
-                            .and_then(Json::as_arr)
-                            .map(|a| {
-                                a.iter()
-                                    .filter_map(Json::as_str)
-                                    .map(str::to_string)
-                                    .collect()
-                            })
-                            .unwrap_or_default();
-                        match error {
-                            Ok(err) => return Dispatch::Done(Err((err, events))),
-                            Err(e) => {
-                                self.kill_now();
-                                return Dispatch::Lost(
-                                    JobError::ProtocolError {
-                                        detail: format!("unparseable err frame: {e}"),
-                                    },
-                                    self.tail(),
-                                );
-                            }
-                        }
-                    }
-                    other => {
-                        self.kill_now();
-                        return Dispatch::Lost(
-                            JobError::ProtocolError {
-                                detail: format!("unexpected frame type {other:?} mid-job"),
-                            },
-                            self.tail(),
-                        );
-                    }
-                },
-                // Reader thread saw EOF or a torn frame: the worker died
-                // (or wrote garbage). Reap and classify.
-                Ok(Err(FrameError::Eof)) | Err(RecvTimeoutError::Disconnected) => {
-                    let (err, events) = self.classify_death(cfg.mem_limit_mb.is_some());
-                    return Dispatch::Lost(err, events);
-                }
-                Ok(Err(FrameError::Protocol(detail))) => {
-                    self.kill_now();
-                    return Dispatch::Lost(JobError::ProtocolError { detail }, self.tail());
-                }
-                // Frame silence past the deadline: wedged or frozen.
-                // SIGKILL is the backstop — no cooperation required.
-                Err(RecvTimeoutError::Timeout) => {
-                    self.kill_now();
-                    return Dispatch::Lost(
-                        JobError::HeartbeatLost {
-                            timeout_ms: cfg.heartbeat_timeout.as_millis() as u64,
-                        },
-                        self.tail(),
-                    );
-                }
+        let lost = match self.frames.recv_timeout(cfg.wall_timeout) {
+            Ok(Ok(frame)) => match parse_reply(&frame) {
+                Ok(outcome) => return Dispatch::Done(outcome),
+                Err(detail) => JobError::ProtocolError { detail },
+            },
+            // Reader thread saw EOF: the worker died. Reap and classify.
+            Ok(Err(FrameError::Eof)) | Err(RecvTimeoutError::Disconnected) => {
+                let (err, events) = self.classify_death();
+                return Dispatch::Lost(err, events);
             }
+            Ok(Err(FrameError::Protocol(detail))) => JobError::ProtocolError { detail },
+            // No reply by the deadline: wedged or livelocked. SIGKILL
+            // needs no cooperation from the worker.
+            Err(RecvTimeoutError::Timeout) => JobError::WallTimeout {
+                limit_ms: cfg.wall_timeout.as_millis() as u64,
+            },
+        };
+        self.kill_now();
+        Dispatch::Lost(lost, self.tail())
+    }
+}
+
+/// Decode an `ok`/`err` reply frame into the attempt's outcome. `Err`
+/// describes a malformed reply.
+fn parse_reply(frame: &Json) -> Result<Result<CellSummary, (JobError, Vec<String>)>, String> {
+    match frame.get("type").and_then(Json::as_str) {
+        Some("ok") => {
+            let record = frame.get("record").ok_or("ok frame without record")?;
+            let record = JournalRecord::from_json(record)
+                .map_err(|e| format!("unparseable ok frame: {e}"))?;
+            Ok(Ok(record.summary))
         }
+        Some("err") => {
+            let error = frame.get("error").ok_or("err frame without error")?;
+            let error =
+                job_error_from_json(error).map_err(|e| format!("unparseable err frame: {e}"))?;
+            let events = frame
+                .get("events")
+                .and_then(Json::as_arr)
+                .map(|a| {
+                    a.iter()
+                        .filter_map(Json::as_str)
+                        .map(str::to_string)
+                        .collect()
+                })
+                .unwrap_or_default();
+            Ok(Err((error, events)))
+        }
+        other => Err(format!("unexpected frame type {other:?} mid-job")),
+    }
+}
+
+/// The error for a reaped worker. The allocator's failure marker on
+/// stderr means the worker ran out of memory, whatever ended it (an
+/// abort signal, or an exit); any other signal death is a kill, and a
+/// plain exit mid-job breaks the protocol.
+fn death_error(signal: Option<i32>, oom_marker: bool, status: &str) -> JobError {
+    match signal {
+        _ if oom_marker => JobError::OomKilled,
+        Some(signal) => JobError::Killed { signal },
+        None => JobError::ProtocolError {
+            detail: format!("worker exited mid-job with {status}"),
+        },
     }
 }
 
@@ -343,8 +290,8 @@ thread_local! {
         const { std::cell::RefCell::new(None) };
 }
 
-/// Run one job attempt on this thread's worker, spawning or recycling
-/// the child as needed. Transport failures discard the worker and
+/// Run one job attempt on this thread's worker, spawning the child
+/// first if the slot is empty. Transport failures discard the worker and
 /// surface as a transient [`JobError`] so the supervisor's ordinary
 /// retry/quarantine machinery applies.
 pub(crate) fn run_job_attempt(
@@ -353,9 +300,6 @@ pub(crate) fn run_job_attempt(
 ) -> Result<CellSummary, (JobError, Vec<String>)> {
     WORKER.with(|slot| {
         let mut slot = slot.borrow_mut();
-        if slot.as_ref().is_some_and(|w| w.jobs_done >= RECYCLE_AFTER) {
-            *slot = None; // Drop shuts the old worker down
-        }
         if slot.is_none() {
             match WorkerHandle::spawn(cfg) {
                 Ok(w) => *slot = Some(w),
@@ -373,10 +317,7 @@ pub(crate) fn run_job_attempt(
             unreachable!("worker slot filled above")
         };
         match worker.dispatch(cfg, spec) {
-            Dispatch::Done(outcome) => {
-                worker.jobs_done += 1;
-                outcome
-            }
+            Dispatch::Done(outcome) => outcome,
             Dispatch::Lost(err, events) => {
                 *slot = None; // dead or poisoned: never reuse
                 Err((err, events))
@@ -439,11 +380,22 @@ mod tests {
     use super::*;
 
     #[test]
-    fn heartbeat_period_is_a_quarter_of_the_deadline_with_a_floor() {
-        let mut cfg = WorkerPoolConfig::new(PathBuf::from("/bin/true"));
-        assert_eq!(cfg.heartbeat_period_ms(), 7_500);
-        cfg.heartbeat_timeout = Duration::from_millis(40);
-        assert_eq!(cfg.heartbeat_period_ms(), 25, "floor stops busy-beating");
+    fn deaths_are_classified_on_their_evidence() {
+        // The allocator's marker means OOM, with or without a signal and
+        // whether or not a memory budget was set.
+        assert_eq!(death_error(Some(6), true, "signal: 6"), JobError::OomKilled);
+        assert_eq!(
+            death_error(None, true, "exit status: 1"),
+            JobError::OomKilled
+        );
+        assert_eq!(
+            death_error(Some(9), false, "signal: 9"),
+            JobError::Killed { signal: 9 }
+        );
+        assert!(matches!(
+            death_error(None, false, "exit status: 0"),
+            JobError::ProtocolError { detail } if detail.contains("exit status: 0")
+        ));
     }
 
     #[test]

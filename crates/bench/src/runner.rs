@@ -10,8 +10,8 @@
 //!
 //! Every job runs under the [`supervisor`](crate::supervisor): the body
 //! executes inside `catch_unwind`, failures are classified into the
-//! structured [`JobError`] taxonomy, transient failures retry with
-//! deterministic backoff, a cooperative cycle-budget watchdog
+//! structured [`JobError`] taxonomy, transient failures retry at once,
+//! a cooperative cycle-budget watchdog
 //! ([`CancelToken`]) bounds runaway jobs, and a failing job degrades to
 //! one `failed`/`timeout`/`quarantined` **cell** of the grid instead of
 //! aborting the sweep. Completed cells are checkpointed to an
@@ -248,9 +248,9 @@ fn ts_attempt(
 /// `Thread` is the classic in-process path: cheap, shared trace cache,
 /// but a job that aborts or exhausts memory takes the whole sweep with
 /// it. `Process` ships each attempt to a pooled `redsoc worker` child
-/// over the [`worker`](crate::worker) wire protocol: the parent
-/// supervises heartbeats, enforces wall-clock and memory budgets, and a
-/// worker death degrades to one failed cell.
+/// over the [`worker`](crate::worker) wire protocol: the parent kills a
+/// worker whose reply misses the wall-clock deadline, the worker caps its
+/// own memory, and a worker death degrades to one failed cell.
 #[derive(Debug, Clone, Default)]
 pub enum Isolation {
     /// Run attempts on the sweep's own threads (the default; results
@@ -268,7 +268,7 @@ pub enum Isolation {
 ///
 /// The containable faults (`panic`/`fail`/`hang`) execute here under
 /// whichever isolation is active. The destructive faults
-/// (`abort`/`oom`/`freeze`) are executed by the *worker* before it calls
+/// (`abort`/`oom`) are executed by the *worker* before it calls
 /// this; reaching them here means thread isolation, where they are
 /// documented as fatal to the whole process.
 pub(crate) fn attempt_with_faults(
@@ -288,9 +288,7 @@ pub(crate) fn attempt_with_faults(
             Vec::new(),
         )),
         Some(Fault::Hang) => hang_attempt(job, sup),
-        Some(fault @ (Fault::Abort | Fault::Oom | Fault::Freeze)) => {
-            fatal_destructive_fault(&key, fault)
-        }
+        Some(fault @ (Fault::Abort | Fault::Oom)) => fatal_destructive_fault(&key, fault),
         _ => match (job.mode, ts_base) {
             (Mode::Ts, Some(base)) => ts_attempt(cache, job, base),
             (Mode::Ts, None) => Err((
@@ -319,7 +317,7 @@ pub(crate) fn attempt_with_faults(
 
 /// A destructive injected fault reached in-process: `catch_unwind`
 /// cannot contain it, so fail loudly and immediately rather than let an
-/// `oom` fault eat the machine or a `freeze` wedge the sweep forever.
+/// `oom` fault eat the machine.
 fn fatal_destructive_fault(key: &str, fault: Fault) -> ! {
     eprintln!(
         "fatal: injected {} fault for {key} cannot be contained by thread isolation; \
@@ -377,7 +375,6 @@ fn exec_cell(
             status: JobStatus::Ok,
             attempts: rec.attempts,
             restored: true,
-            retry_backoff: Duration::from_millis(rec.backoff_ms),
             wall: Duration::from_secs_f64(rec.wall_seconds.max(0.0)),
             result: None,
             summary: Some(rec.summary.clone()),
@@ -425,7 +422,7 @@ fn exec_cell(
                     key,
                     digest,
                     attempts: supervised.attempts,
-                    backoff_ms: supervised.scheduled_backoff.as_millis() as u64,
+                    backoff_ms: 0,
                     wall_seconds: wall.as_secs_f64(),
                     summary: summary.clone(),
                 };
@@ -442,7 +439,6 @@ fn exec_cell(
                 status: JobStatus::Ok,
                 attempts: supervised.attempts,
                 restored: false,
-                retry_backoff: supervised.scheduled_backoff,
                 wall,
                 // Process isolation returns only the journaled summary
                 // (the parent never holds the full report); figure
@@ -461,7 +457,6 @@ fn exec_cell(
             status: error.terminal_status(),
             attempts: supervised.attempts,
             restored: false,
-            retry_backoff: supervised.scheduled_backoff,
             wall,
             result: None,
             summary: None,
@@ -677,7 +672,6 @@ mod tests {
         let cache = TraceCache::new(2_000);
         let sup = SupervisorConfig {
             max_retries: 1,
-            backoff_base: Duration::ZERO,
             faults: FaultPlan::none().with("bitcnt/BIG/redsoc", Fault::Panic { times: 99 }),
             ..SupervisorConfig::default()
         };
@@ -732,7 +726,6 @@ mod tests {
         let cache = TraceCache::new(2_000);
         let sup = SupervisorConfig {
             max_retries: 0,
-            backoff_base: Duration::ZERO,
             faults: FaultPlan::none().with("bitcnt/BIG/baseline", Fault::Fail),
             ..SupervisorConfig::default()
         };

@@ -3,8 +3,10 @@
 //! A sweep cell runs under a **supervisor** ([`supervise`]): the job body
 //! executes inside `catch_unwind`, every failure is classified into a
 //! structured [`JobError`], transient failures (panics, worker deaths)
-//! are retried with deterministic exponential backoff, and jobs that keep
-//! failing are **quarantined** rather than allowed to abort the sweep.
+//! are retried at once, and jobs that keep failing are **quarantined**
+//! rather than allowed to abort the sweep. Retries do not back off: every
+//! job is local and deterministic, so no shared resource recovers during
+//! a sleep.
 //! Deterministic failures — simulator errors and cycle-budget timeouts —
 //! fail fast: retrying a deterministic simulator reproduces the failure
 //! bit for bit, so the supervisor does not waste wall-clock on it.
@@ -12,13 +14,13 @@
 //! The module also hosts the **fault-injection plan** ([`FaultPlan`])
 //! used by the crash-safety test harness and the CI resume smoke: faults
 //! are keyed by job (`bench/CORE/mode`) and can make a cell panic for its
-//! first N attempts, hang until the watchdog fires, or fail with a
-//! simulator error. Production sweeps run with an empty plan; the
+//! first N attempts, hang until the cycle-budget watchdog (or, under
+//! process isolation, the worker's wall-clock deadline) stops it, fail
+//! with a simulator error, or abort or exhaust the memory of a worker. Production sweeps run with an empty plan; the
 //! injection points cost one hash lookup per job attempt.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::Duration;
 
 use redsoc_core::pipeline::SimError;
 use redsoc_core::stats::StallCause;
@@ -54,11 +56,11 @@ pub enum JobError {
     /// A process-isolation worker exceeded its `--mem-limit-mb` address
     /// space budget and was killed by its own allocation-failure abort.
     OomKilled,
-    /// A process-isolation worker stopped emitting heartbeat frames and
-    /// was killed by the supervisor's SIGKILL backstop.
-    HeartbeatLost {
-        /// The heartbeat window that elapsed without a frame.
-        timeout_ms: u64,
+    /// A process-isolation worker did not reply within its wall-clock
+    /// deadline and was killed with SIGKILL.
+    WallTimeout {
+        /// The deadline that elapsed without a reply.
+        limit_ms: u64,
     },
     /// The worker protocol broke down: a torn or malformed frame, an
     /// oversized length prefix, or a worker that exited cleanly mid-job.
@@ -79,7 +81,7 @@ impl JobError {
             JobError::DependencyFailed { .. } => "dependency",
             JobError::Killed { .. } => "killed",
             JobError::OomKilled => "oom-killed",
-            JobError::HeartbeatLost { .. } => "heartbeat-lost",
+            JobError::WallTimeout { .. } => "wall-timeout",
             JobError::ProtocolError { .. } => "protocol",
         }
     }
@@ -95,7 +97,7 @@ impl JobError {
             JobError::Panicked { .. }
                 | JobError::Killed { .. }
                 | JobError::OomKilled
-                | JobError::HeartbeatLost { .. }
+                | JobError::WallTimeout { .. }
                 | JobError::ProtocolError { .. }
         )
     }
@@ -109,7 +111,7 @@ impl JobError {
             JobError::Panicked { .. }
             | JobError::Killed { .. }
             | JobError::OomKilled
-            | JobError::HeartbeatLost { .. }
+            | JobError::WallTimeout { .. }
             | JobError::ProtocolError { .. } => JobStatus::Quarantined,
             JobError::Sim(_) | JobError::DependencyFailed { .. } => JobStatus::Failed,
         }
@@ -133,8 +135,8 @@ impl core::fmt::Display for JobError {
             JobError::OomKilled => {
                 write!(f, "worker exceeded its memory budget and was killed")
             }
-            JobError::HeartbeatLost { timeout_ms } => {
-                write!(f, "worker heartbeat lost for {timeout_ms} ms")
+            JobError::WallTimeout { limit_ms } => {
+                write!(f, "worker gave no reply within {limit_ms} ms")
             }
             JobError::ProtocolError { detail } => {
                 write!(f, "worker protocol error: {detail}")
@@ -273,7 +275,8 @@ pub enum Fault {
     },
     /// Replace the job with an endless instruction stream: the job never
     /// finishes on its own and must be stopped by the cycle-budget
-    /// watchdog (or by killing the process — the crash-safety test).
+    /// watchdog, by the worker's wall-clock deadline under process
+    /// isolation, or by killing the process (the crash-safety test).
     Hang,
     /// Fail deterministically with a simulator error.
     Fail,
@@ -288,10 +291,6 @@ pub enum Fault {
     /// capped and ends in an abort, so thread-isolation runs die rather
     /// than eat the machine.
     Oom,
-    /// Stop emitting heartbeats and park forever: exercises the parent's
-    /// heartbeat-loss SIGKILL backstop. Fatal (an abort) under thread
-    /// isolation, which has no heartbeat to lose.
-    Freeze,
 }
 
 impl Fault {
@@ -306,7 +305,6 @@ impl Fault {
             Fault::Fail => "fail".to_string(),
             Fault::Abort => "abort".to_string(),
             Fault::Oom => "oom".to_string(),
-            Fault::Freeze => "freeze".to_string(),
         }
     }
 
@@ -322,7 +320,6 @@ impl Fault {
             "fail" => Ok(Fault::Fail),
             "abort" => Ok(Fault::Abort),
             "oom" => Ok(Fault::Oom),
-            "freeze" => Ok(Fault::Freeze),
             "panic" => Ok(Fault::Panic { times: 1 }),
             other => match other.strip_prefix("panic:") {
                 Some(n) => Ok(Fault::Panic {
@@ -331,7 +328,7 @@ impl Fault {
                         .map_err(|e| format!("bad panic count in {kind:?}: {e}"))?,
                 }),
                 None => Err(format!(
-                    "unknown fault kind {other:?} (panic|panic:N|hang|fail|abort|oom|freeze)"
+                    "unknown fault kind {other:?} (panic|panic:N|hang|fail|abort|oom)"
                 )),
             },
         }
@@ -373,7 +370,7 @@ impl FaultPlan {
     /// Parse a plan from the `REDSOC_FAULT` syntax:
     /// comma-separated `bench/CORE/mode=kind` entries where `kind` is
     /// `panic` (panic once), `panic:N` (panic on the first N attempts),
-    /// `hang`, `fail`, `abort`, `oom`, or `freeze`.
+    /// `hang`, `fail`, `abort`, or `oom`.
     ///
     /// # Errors
     ///
@@ -411,9 +408,6 @@ pub struct SupervisorConfig {
     /// Retries granted after a transient failure (so a job runs at most
     /// `1 + max_retries` times).
     pub max_retries: u32,
-    /// Base of the deterministic exponential backoff: attempt `n` sleeps
-    /// `backoff_base * 2^(n-1)` before retrying.
-    pub backoff_base: Duration,
     /// Cycle budget per job attempt; `None` disables the watchdog.
     pub job_timeout_cycles: Option<u64>,
     /// Injected faults (tests and the CI resume smoke; empty otherwise).
@@ -424,19 +418,9 @@ impl Default for SupervisorConfig {
     fn default() -> Self {
         SupervisorConfig {
             max_retries: 2,
-            backoff_base: Duration::from_millis(25),
             job_timeout_cycles: None,
             faults: FaultPlan::none(),
         }
-    }
-}
-
-impl SupervisorConfig {
-    /// Deterministic backoff before retry attempt `attempt` (1-based
-    /// count of *failed* attempts so far): `base * 2^(attempt-1)`.
-    #[must_use]
-    pub fn backoff(&self, attempt: u32) -> Duration {
-        self.backoff_base * 2u32.saturating_pow(attempt.saturating_sub(1))
     }
 }
 
@@ -448,17 +432,11 @@ pub struct Supervised<R> {
     pub result: Result<R, JobError>,
     /// Attempts made (1 for a first-try success).
     pub attempts: u32,
-    /// Sum of the *scheduled* retry backoffs (`Σ backoff(n)` over every
-    /// retried attempt). Recorded instead of elapsed sleep time so the
-    /// per-job sweep JSON stays deterministic across machines and
-    /// scheduler jitter — two runs that retried identically report the
-    /// identical delay.
-    pub scheduled_backoff: Duration,
 }
 
 /// Run `attempt_fn` under supervision: panics are caught and classified,
-/// transient failures retried with deterministic backoff up to
-/// `cfg.max_retries` times, deterministic failures returned immediately.
+/// transient failures retried at once up to `cfg.max_retries` times,
+/// deterministic failures returned immediately.
 ///
 /// `attempt_fn` receives the 1-based attempt number (fault injection uses
 /// it to panic only on early attempts).
@@ -467,7 +445,6 @@ pub fn supervise<R>(
     mut attempt_fn: impl FnMut(u32) -> Result<R, JobError>,
 ) -> Supervised<R> {
     let mut attempts = 0;
-    let mut scheduled_backoff = Duration::ZERO;
     loop {
         attempts += 1;
         let outcome =
@@ -481,21 +458,13 @@ pub fn supervise<R>(
                 return Supervised {
                     result: Ok(value),
                     attempts,
-                    scheduled_backoff,
                 }
             }
-            Err(err) if err.is_transient() && attempts <= cfg.max_retries => {
-                let backoff = cfg.backoff(attempts);
-                scheduled_backoff += backoff;
-                if !backoff.is_zero() {
-                    std::thread::sleep(backoff);
-                }
-            }
+            Err(err) if err.is_transient() && attempts <= cfg.max_retries => {}
             Err(err) => {
                 return Supervised {
                     result: Err(err),
                     attempts,
-                    scheduled_backoff,
                 }
             }
         }
@@ -521,7 +490,6 @@ mod tests {
     fn fast() -> SupervisorConfig {
         SupervisorConfig {
             max_retries: 2,
-            backoff_base: Duration::ZERO,
             ..SupervisorConfig::default()
         }
     }
@@ -570,17 +538,6 @@ mod tests {
     }
 
     #[test]
-    fn backoff_is_deterministic_and_exponential() {
-        let cfg = SupervisorConfig {
-            backoff_base: Duration::from_millis(10),
-            ..SupervisorConfig::default()
-        };
-        assert_eq!(cfg.backoff(1), Duration::from_millis(10));
-        assert_eq!(cfg.backoff(2), Duration::from_millis(20));
-        assert_eq!(cfg.backoff(3), Duration::from_millis(40));
-    }
-
-    #[test]
     fn fault_plan_parses_the_env_syntax() {
         let plan =
             FaultPlan::parse("crc/BIG/redsoc=hang, bitcnt/SMALL/baseline=panic:2,conv/BIG/ts=fail")
@@ -622,7 +579,7 @@ mod tests {
         for err in [
             JobError::Killed { signal: 9 },
             JobError::OomKilled,
-            JobError::HeartbeatLost { timeout_ms: 500 },
+            JobError::WallTimeout { limit_ms: 500 },
             JobError::ProtocolError {
                 detail: "torn frame".into(),
             },
@@ -632,10 +589,7 @@ mod tests {
         }
         assert_eq!(JobError::Killed { signal: 6 }.kind(), "killed");
         assert_eq!(JobError::OomKilled.kind(), "oom-killed");
-        assert_eq!(
-            JobError::HeartbeatLost { timeout_ms: 1 }.kind(),
-            "heartbeat-lost"
-        );
+        assert_eq!(JobError::WallTimeout { limit_ms: 1 }.kind(), "wall-timeout");
         assert_eq!(
             JobError::ProtocolError { detail: "x".into() }.kind(),
             "protocol"
@@ -650,41 +604,11 @@ mod tests {
             Fault::Fail,
             Fault::Abort,
             Fault::Oom,
-            Fault::Freeze,
         ] {
             assert_eq!(Fault::parse_kind(&fault.spec()), Ok(fault));
         }
-        let plan = FaultPlan::parse("a/B/c=abort,d/E/f=oom,g/H/i=freeze").expect("valid");
+        let plan = FaultPlan::parse("a/B/c=abort,d/E/f=oom").expect("valid");
         assert_eq!(plan.get("a/B/c"), Some(Fault::Abort));
         assert_eq!(plan.get("d/E/f"), Some(Fault::Oom));
-        assert_eq!(plan.get("g/H/i"), Some(Fault::Freeze));
-    }
-
-    #[test]
-    fn scheduled_backoff_sums_the_planned_delays_not_elapsed_time() {
-        // Zero base: no wall-clock is spent, yet the *scheduled* total is
-        // still well-defined (zero) and deterministic.
-        let s = supervise(&fast(), |attempt| -> Result<(), JobError> {
-            panic!("always broken (attempt {attempt})");
-        });
-        assert_eq!(s.scheduled_backoff, Duration::ZERO);
-
-        // 1ms base, two retries: 1ms + 2ms scheduled, whatever the OS
-        // actually slept.
-        let cfg = SupervisorConfig {
-            max_retries: 2,
-            backoff_base: Duration::from_millis(1),
-            ..SupervisorConfig::default()
-        };
-        let s = supervise(&cfg, |attempt| {
-            if attempt <= 2 {
-                panic!("transient (attempt {attempt})");
-            }
-            Ok::<_, JobError>(())
-        });
-        assert_eq!(s.attempts, 3);
-        assert_eq!(s.scheduled_backoff, Duration::from_millis(3));
-        let s = supervise(&cfg, |_| Ok::<_, JobError>(()));
-        assert_eq!(s.scheduled_backoff, Duration::ZERO, "clean run: no backoff");
     }
 }

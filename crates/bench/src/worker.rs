@@ -10,30 +10,27 @@
 //! **Wire format.** Parent and worker speak length-prefixed JSON frames
 //! over the worker's stdin/stdout: a 4-byte big-endian payload length
 //! (1..=[`MAX_FRAME`] bytes) followed by one compact JSON object with a
-//! `type` field. Frame types: `hello` (worker → parent, once at startup),
-//! `job` (parent → worker, one grid cell), `heartbeat` (worker → parent,
-//! wall-timed liveness while a job runs), `ok` / `err` (worker → parent,
-//! one per job), and `shutdown` (parent → worker). Anything else — a
+//! `type` field. Frame types: `job` (parent → worker, one grid cell),
+//! `ok` / `err` (worker → parent, one reply per job), and `shutdown`
+//! (parent → worker). Anything else — a
 //! torn frame, an oversized prefix, garbage bytes, an EOF mid-frame — is
 //! a [`FrameError::Protocol`] and never a panic or a hang.
 //!
 //! **Worker lifecycle.** The worker optionally caps its own address
-//! space via `setrlimit(RLIMIT_AS)` before the first frame, then loops:
-//! read a job frame, rebuild the [`Job`] from names, verify the parent's
-//! configuration digest, execute one attempt (under `catch_unwind`), and
-//! reply `ok` or `err`. The trace cache persists across jobs, so a
-//! recycled worker is the only thing that pays trace generation twice.
-//! Stdout carries only frames; human diagnostics go to stderr, which the
-//! parent tails into the failure record of any cell whose worker dies.
+//! space via `setrlimit(RLIMIT_AS)` before the first frame, then loops
+//! on one thread: read a job frame, rebuild the [`Job`] from names,
+//! verify the parent's configuration digest, execute one attempt (under
+//! `catch_unwind`), and reply `ok` or `err`. The trace cache persists
+//! across jobs, so a worker generates each trace once. Stdout carries
+//! only frames; human diagnostics go to stderr, which the parent tails
+//! into the failure record of any cell whose worker dies.
 //!
-//! The parent half — the pool, heartbeat supervision, and failure
-//! classification — lives in [`pool`](crate::pool).
+//! The parent half — the pool, the per-attempt reply deadline, and
+//! failure classification — lives in [`pool`](crate::pool).
 
 use std::io::{Read, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use redsoc_core::pipeline::SimError;
 use redsoc_workloads::Benchmark;
@@ -286,9 +283,9 @@ pub fn job_error_to_json(err: &JobError) -> Json {
             ("signal", Json::num(f64::from(*signal))),
         ]),
         JobError::OomKilled => Json::obj(vec![("kind", Json::str("oom-killed"))]),
-        JobError::HeartbeatLost { timeout_ms } => Json::obj(vec![
-            ("kind", Json::str("heartbeat-lost")),
-            ("timeout_ms", Json::num(*timeout_ms as f64)),
+        JobError::WallTimeout { limit_ms } => Json::obj(vec![
+            ("kind", Json::str("wall-timeout")),
+            ("limit_ms", Json::num(*limit_ms as f64)),
         ]),
         JobError::ProtocolError { detail } => Json::obj(vec![
             ("kind", Json::str("protocol")),
@@ -350,8 +347,8 @@ pub fn job_error_from_json(doc: &Json) -> Result<JobError, String> {
             signal: num_field("signal")? as i32,
         }),
         "oom-killed" => Ok(JobError::OomKilled),
-        "heartbeat-lost" => Ok(JobError::HeartbeatLost {
-            timeout_ms: num_field("timeout_ms")? as u64,
+        "wall-timeout" => Ok(JobError::WallTimeout {
+            limit_ms: num_field("limit_ms")? as u64,
         }),
         "protocol" => Ok(JobError::ProtocolError {
             detail: str_field("detail")?,
@@ -450,23 +447,10 @@ pub(crate) fn oom_fault_and_abort(key: &str) -> ! {
 pub struct WorkerOptions {
     /// Address-space cap applied to this worker before any job runs.
     pub mem_limit_mb: Option<u64>,
-    /// Heartbeat emission period while a job is active.
+    /// Ignored: workers no longer send heartbeats. Kept only because the
+    /// benchmark harness names it in a struct literal; drop it when the
+    /// benchmark next changes.
     pub heartbeat_ms: u64,
-}
-
-/// Shared state between the worker's job loop and its heartbeat thread.
-struct WorkerShared {
-    out: Mutex<std::io::Stdout>,
-    /// A job is currently executing (heartbeats are emitted only then,
-    /// so an idle worker never fills the pipe).
-    active: AtomicBool,
-}
-
-impl WorkerShared {
-    fn send(&self, frame: &Json) -> std::io::Result<()> {
-        let mut out = self.out.lock().unwrap_or_else(PoisonError::into_inner);
-        write_frame(&mut *out, frame)
-    }
 }
 
 /// Rebuild the parent's [`Job`] from the names in a spec. Every lookup
@@ -495,7 +479,7 @@ fn job_from_spec(spec: &JobSpec) -> Result<Job, String> {
 }
 
 /// Execute one job attempt and return the reply frame.
-fn run_job(spec: &JobSpec, cache: &TraceCache, shared: &Arc<WorkerShared>) -> Json {
+fn run_job(spec: &JobSpec, cache: &TraceCache) -> Json {
     let err_frame = |err: &JobError, events: &[String]| {
         Json::obj(vec![
             ("type", Json::str("err")),
@@ -534,7 +518,7 @@ fn run_job(spec: &JobSpec, cache: &TraceCache, shared: &Arc<WorkerShared>) -> Js
     };
     // Destructive faults execute *here*, inside the disposable worker —
     // the whole point of process isolation. The parent observes a signal
-    // death (or heartbeat loss) and classifies it.
+    // death and classifies it.
     match fault {
         Some(Fault::Abort) => {
             eprintln!("injected abort fault for {key} (attempt {})", spec.attempt);
@@ -543,15 +527,6 @@ fn run_job(spec: &JobSpec, cache: &TraceCache, shared: &Arc<WorkerShared>) -> Js
         Some(Fault::Oom) => {
             eprintln!("injected oom fault for {key} (attempt {})", spec.attempt);
             oom_fault_and_abort(&key);
-        }
-        Some(Fault::Freeze) => {
-            // Stop heartbeating and park: the parent's SIGKILL backstop
-            // must reap us. Never reply.
-            eprintln!("injected freeze fault for {key} (attempt {})", spec.attempt);
-            shared.active.store(false, Ordering::Relaxed);
-            loop {
-                std::thread::sleep(Duration::from_secs(3600));
-            }
         }
         _ => {}
     }
@@ -563,12 +538,10 @@ fn run_job(spec: &JobSpec, cache: &TraceCache, shared: &Arc<WorkerShared>) -> Js
     if let Some(f) = fault {
         sup.faults = FaultPlan::none().with(&key, f);
     }
-    shared.active.store(true, Ordering::Relaxed);
     let start = Instant::now();
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         attempt_with_faults(cache, &job, spec.ts_base, &sup, spec.attempt)
     }));
-    shared.active.store(false, Ordering::Relaxed);
 
     match outcome {
         Ok(Ok((_output, summary))) => {
@@ -593,8 +566,9 @@ fn run_job(spec: &JobSpec, cache: &TraceCache, shared: &Arc<WorkerShared>) -> Js
 }
 
 /// The worker main loop (the `redsoc worker` subcommand): apply the
-/// memory budget, announce readiness, then execute job frames from
-/// stdin one at a time until `shutdown` or EOF.
+/// memory budget, then execute job frames from stdin one at a time,
+/// replying to each on stdout, until `shutdown` or EOF. One thread does
+/// all of it; the parent bounds each job by the time its reply takes.
 ///
 /// # Errors
 ///
@@ -604,33 +578,9 @@ pub fn run_worker(opts: &WorkerOptions) -> Result<(), String> {
     if let Some(mb) = opts.mem_limit_mb {
         set_mem_limit(mb.saturating_mul(1 << 20))?;
     }
-    let shared = Arc::new(WorkerShared {
-        out: Mutex::new(std::io::stdout()),
-        active: AtomicBool::new(false),
-    });
-    shared
-        .send(&Json::obj(vec![
-            ("type", Json::str("hello")),
-            ("pid", Json::num(f64::from(std::process::id()))),
-        ]))
-        .map_err(|e| format!("cannot greet parent: {e}"))?;
-
-    // Heartbeat thread: wall-timed, active-gated, dies with the process.
-    let beat = Arc::clone(&shared);
-    let period = Duration::from_millis(opts.heartbeat_ms.max(10));
-    std::thread::spawn(move || loop {
-        std::thread::sleep(period);
-        if beat.active.load(Ordering::Relaxed) {
-            let frame = Json::obj(vec![("type", Json::str("heartbeat"))]);
-            if beat.send(&frame).is_err() {
-                break; // parent is gone; the main loop will see EOF too
-            }
-        }
-    });
-
     let mut cache: Option<TraceCache> = None;
-    let stdin = std::io::stdin();
-    let mut input = stdin.lock();
+    let mut input = std::io::stdin().lock();
+    let mut output = std::io::stdout().lock();
     loop {
         match read_frame(&mut input) {
             Err(FrameError::Eof) => return Ok(()),
@@ -640,18 +590,16 @@ pub fn run_worker(opts: &WorkerOptions) -> Result<(), String> {
                 Some("job") => {
                     let spec = JobSpec::from_json(&frame)
                         .map_err(|e| format!("bad job frame from parent: {e}"))?;
-                    // The trace cache persists across jobs (warm-cache
-                    // rationale for recycling workers lazily, not per
-                    // job); a changed trace length rebuilds it.
+                    // The trace cache persists across jobs; a changed
+                    // trace length rebuilds it.
                     if cache.as_ref().map(TraceCache::target_len) != Some(spec.trace_len) {
                         cache = Some(TraceCache::new(spec.trace_len));
                     }
                     let reply = match &cache {
-                        Some(c) => run_job(&spec, c, &shared),
+                        Some(c) => run_job(&spec, c),
                         None => unreachable!("cache initialised above"),
                     };
-                    shared
-                        .send(&reply)
+                    write_frame(&mut output, &reply)
                         .map_err(|e| format!("cannot reply to parent: {e}"))?;
                 }
                 other => {
@@ -677,7 +625,7 @@ mod tests {
     #[test]
     fn frames_round_trip() {
         let frame = Json::obj(vec![
-            ("type", Json::str("heartbeat")),
+            ("type", Json::str("ok")),
             ("cycle", Json::num(4096.0)),
         ]);
         assert_eq!(roundtrip(&frame), frame);
@@ -808,7 +756,7 @@ mod tests {
             },
             JobError::Killed { signal: 9 },
             JobError::OomKilled,
-            JobError::HeartbeatLost { timeout_ms: 750 },
+            JobError::WallTimeout { limit_ms: 750 },
             JobError::ProtocolError {
                 detail: "torn".into(),
             },

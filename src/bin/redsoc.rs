@@ -443,11 +443,10 @@ fn cmd_bench(args: &[String]) -> CliResult {
             "resume",
             "job-timeout",
             "max-retries",
-            "backoff-ms",
             "mem-model",
             "isolation",
             "mem-limit-mb",
-            "heartbeat-timeout-ms",
+            "wall-timeout-ms",
         ],
     )?;
     let threads = flags.num("threads", redsoc::bench::threads())?.max(1);
@@ -468,11 +467,10 @@ fn cmd_bench(args: &[String]) -> CliResult {
         sup.job_timeout_cycles = Some(cycles);
     }
     sup.max_retries = flags.num("max-retries", sup.max_retries)?;
-    sup.backoff_base = std::time::Duration::from_millis(flags.num("backoff-ms", 25u64)?);
 
     let isolation = match flags.get("isolation").unwrap_or("thread") {
         "thread" => {
-            for f in ["mem-limit-mb", "heartbeat-timeout-ms"] {
+            for f in ["mem-limit-mb", "wall-timeout-ms"] {
                 if flags.get(f).is_some() {
                     return Err(usage_err(format!("--{f} requires --isolation process")));
                 }
@@ -490,16 +488,11 @@ fn cmd_bench(args: &[String]) -> CliResult {
                 }
                 cfg.mem_limit_mb = Some(mb);
             }
-            let hb: u64 = flags.num(
-                "heartbeat-timeout-ms",
-                cfg.heartbeat_timeout.as_millis() as u64,
-            )?;
-            if hb == 0 {
-                return Err(usage_err(
-                    "--heartbeat-timeout-ms must be a positive duration",
-                ));
+            let ms: u64 = flags.num("wall-timeout-ms", cfg.wall_timeout.as_millis() as u64)?;
+            if ms == 0 {
+                return Err(usage_err("--wall-timeout-ms must be a positive duration"));
             }
-            cfg.heartbeat_timeout = std::time::Duration::from_millis(hb);
+            cfg.wall_timeout = std::time::Duration::from_millis(ms);
             Isolation::Process(cfg)
         }
         other => {
@@ -707,7 +700,6 @@ fn cmd_chaos(args: &[String]) -> CliResult {
                 .args(["--isolation", "process"])
                 // Deep retry budget: every storm hit must be absorbable.
                 .args(["--max-retries", "8"])
-                .args(["--backoff-ms", "10"])
                 .arg("--journal")
                 .arg(&journal)
                 .arg("--out")
@@ -905,7 +897,7 @@ fn cmd_chaos(args: &[String]) -> CliResult {
 /// debugging (feed it frames, watch replies).
 fn cmd_worker(args: &[String]) -> CliResult {
     use redsoc::bench::worker::{run_worker, WorkerOptions};
-    let flags = Flags::parse(args, &["mem-limit-mb", "heartbeat-ms"])?;
+    let flags = Flags::parse(args, &["mem-limit-mb"])?;
     let mem_limit_mb = match flags.get("mem-limit-mb") {
         Some(_) => {
             let mb: u64 = flags.num("mem-limit-mb", 0u64)?;
@@ -916,13 +908,9 @@ fn cmd_worker(args: &[String]) -> CliResult {
         }
         None => None,
     };
-    let heartbeat_ms: u64 = flags.num("heartbeat-ms", 250u64)?;
-    if heartbeat_ms == 0 {
-        return Err(usage_err("--heartbeat-ms must be a positive duration"));
-    }
     run_worker(&WorkerOptions {
         mem_limit_mb,
-        heartbeat_ms,
+        heartbeat_ms: 0,
     })
     .map_err(CliError::Io)
 }
@@ -1089,11 +1077,11 @@ fn usage() -> String {
      \x20                          --resume FILE    reopen a journal, skip done cells\n\
      \x20                          --job-timeout N  per-job cycle budget\n\
      \x20                          --max-retries N  retries for transient failures\n\
-     \x20                          --backoff-ms N   retry backoff base\n\
      \x20                          --isolation thread|process  run each cell in-thread\n\
      \x20                          (default) or in supervised worker child processes;\n\
      \x20                          with process: --mem-limit-mb N  per-worker RLIMIT_AS,\n\
-     \x20                          --heartbeat-timeout-ms N  kill silent workers)\n\
+     \x20                          --wall-timeout-ms N  kill a worker whose reply\n\
+     \x20                          takes longer (default 30000))\n\
      \x20 worker [flags]           internal: one pool worker child (spawned by\n\
      \x20                          bench --isolation process; speaks frames on stdio)\n\
      \x20 chaos [flags]            crash-safety proof: SIGKILL a child sweep mid-sweep\n\

@@ -50,8 +50,6 @@ fn bench_args(out: &Path) -> Vec<String> {
         LEN,
         "--max-retries",
         "1",
-        "--backoff-ms",
-        "0",
         "--out",
     ]
     .iter()
@@ -243,23 +241,25 @@ fn cli_maps_errors_to_structured_exit_codes() {
         &["fuzz", "--cases", "0"],
         &["fuzz", "--schedulers", "nosuchsched"],
         &["fuzz", "--sabotage", "nope"],
-        &["bench", "--snapshot-interval", "0", "--journal", "x.jnl"],
-        &["bench", "--snapshot-interval", "junk", "--journal", "x.jnl"],
-        // In-flight checkpoints are journaled; without a journal the
-        // flag is an operator mistake, not a silent no-op.
-        &["bench", "--snapshot-interval", "4096"],
         &["chaos", "--kills", "0"],
         &["chaos", "--seed", "frog"],
         // Process-isolation flag validation: the worker knobs make no
-        // sense without the process tier, the degenerate values are
-        // operator mistakes, and mid-job snapshots need a journal the
-        // workers don't have.
+        // sense without the process tier, and the degenerate values are
+        // operator mistakes.
         &["bench", "--isolation", "warp"],
         &["bench", "--mem-limit-mb", "512"],
-        &["bench", "--worker-recycle", "8"],
-        &["bench", "--heartbeat-timeout-ms", "500"],
+        &["bench", "--wall-timeout-ms", "500"],
         &["bench", "--isolation", "process", "--mem-limit-mb", "0"],
+        &["bench", "--isolation", "process", "--wall-timeout-ms", "0"],
+        &["worker", "--mem-limit-mb", "0"],
+        // Retired flags are unknown flags now: in-flight snapshots,
+        // worker recycling, heartbeats and retry backoff are gone.
+        &["bench", "--snapshot-interval", "0", "--journal", "x.jnl"],
+        &["bench", "--snapshot-interval", "junk", "--journal", "x.jnl"],
+        &["bench", "--snapshot-interval", "4096"],
+        &["bench", "--worker-recycle", "8"],
         &["bench", "--isolation", "process", "--worker-recycle", "0"],
+        &["bench", "--heartbeat-timeout-ms", "500"],
         &[
             "bench",
             "--isolation",
@@ -267,6 +267,7 @@ fn cli_maps_errors_to_structured_exit_codes() {
             "--heartbeat-timeout-ms",
             "0",
         ],
+        &["bench", "--backoff-ms", "0"],
         &[
             "bench",
             "--isolation",
@@ -277,7 +278,6 @@ fn cli_maps_errors_to_structured_exit_codes() {
             "x.jnl",
         ],
         &["worker", "--heartbeat-ms", "0"],
-        &["worker", "--mem-limit-mb", "0"],
         &["chaos", "--worker-kills", "frog"],
         &["frobnicate"],
     ];
@@ -523,32 +523,49 @@ fn process_isolation_matches_thread_isolation_and_contains_destructive_faults() 
 }
 
 #[test]
-fn freeze_fault_is_reaped_by_heartbeat_supervision() {
-    // A frozen worker (stops heartbeating, never replies, never exits)
-    // is exactly what the SIGKILL backstop exists for: the parent must
-    // reap it after --heartbeat-timeout-ms, record heartbeat-lost, and
-    // fail the dependent TS cell rather than wait forever.
-    let dir = tmp_dir("freeze");
-    let out_path = dir.join("frozen.json");
-    let out = run(redsoc()
+fn wedged_worker_is_killed_at_the_wall_deadline() {
+    // A hang with no cycle budget never replies and never exits; only the
+    // parent's reply deadline can stop it. The parent must kill the
+    // worker after --wall-timeout-ms, record wall-timeout, and fail the
+    // dependent TS cell. The test bounds its own wait, so a sweep that
+    // never ends fails here instead of hanging the suite.
+    let dir = tmp_dir("wedged");
+    let out_path = dir.join("wedged.json");
+    let mut child = redsoc()
         .args(bench_args(&out_path))
-        .args(["--isolation", "process", "--heartbeat-timeout-ms", "1500"])
+        .args(["--isolation", "process", "--wall-timeout-ms", "1500"])
         .args(["--max-retries", "0"])
-        .env("REDSOC_FAULT", "CONV/MEDIUM/baseline=freeze"));
-    assert_eq!(
-        exit_code(&out),
-        4,
-        "frozen cell degrades the sweep: {out:?}"
-    );
+        .env("REDSOC_FAULT", "CONV/MEDIUM/baseline=hang")
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .expect("spawn redsoc");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(120);
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("poll sweep") {
+            break status;
+        }
+        if std::time::Instant::now() > deadline {
+            child.kill().ok();
+            child.wait().ok();
+            panic!("a wedged worker must not stall the sweep past 120 s");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(100));
+    };
+    assert_eq!(status.code(), Some(4), "wedged cell degrades the sweep");
     let doc = load_sweep(&out_path);
-    let frozen = status_of(&doc, "CONV/MEDIUM/baseline");
+    let wedged = status_of(&doc, "CONV/MEDIUM/baseline");
     assert_eq!(
-        frozen
+        wedged.get("status").and_then(Json::as_str),
+        Some("quarantined")
+    );
+    assert_eq!(
+        wedged
             .get("error")
             .and_then(|e| e.get("kind"))
             .and_then(Json::as_str),
-        Some("heartbeat-lost"),
-        "silence past the deadline is heartbeat loss: {frozen:?}"
+        Some("wall-timeout"),
+        "no reply by the deadline is a wall timeout: {wedged:?}"
     );
     let ts = status_of(&doc, "CONV/MEDIUM/ts");
     assert_eq!(
@@ -556,7 +573,7 @@ fn freeze_fault_is_reaped_by_heartbeat_supervision() {
             .and_then(|e| e.get("kind"))
             .and_then(Json::as_str),
         Some("dependency"),
-        "TS cannot run on a baseline the supervisor had to shoot: {ts:?}"
+        "TS cannot run on a baseline the supervisor had to kill: {ts:?}"
     );
     std::fs::remove_dir_all(&dir).ok();
 }
