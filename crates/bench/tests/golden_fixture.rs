@@ -127,3 +127,64 @@ fn event_driven_wakeup_matches_full_scan_event_stream() {
         }
     }
 }
+
+/// Static-vs-boxed dispatch equivalence. `Simulator::new` runs a built-in
+/// scheduler through a cycle loop monomorphised for it, while
+/// `Simulator::with_scheduler` calls the same policy through
+/// `dyn Scheduler`; `run_ts` likewise runs `TsScheduler` by value. On the
+/// golden sweep's traces — every benchmark at length 2000, with the ML
+/// kernels (which ignore the length) cut to their first 2000 ops — on
+/// every core, both paths must give reports equal under `Debug`, and
+/// `run_ts` must match the boxed run of its rescaled core.
+#[test]
+fn static_dispatch_matches_boxed_schedulers() {
+    use redsoc_bench::redsoc_for;
+    use redsoc_core::config::{CoreConfig, SchedulerConfig};
+    use redsoc_core::pipeline::Simulator;
+    use redsoc_core::sched::build_scheduler;
+    use redsoc_core::sched::ts::{run_ts, ts_core_config, TsScheduler};
+    use redsoc_workloads::Benchmark;
+
+    let cache = TraceCache::new(GOLDEN_LEN);
+    for bench in Benchmark::all() {
+        let full = cache.get(bench);
+        let trace = &full[..full.len().min(GOLDEN_LEN as usize)];
+        for core in CoreConfig::table1() {
+            let cell = |mode: &str| format!("{}/{}/{mode}", bench.name(), core.name);
+            let mut baseline_cycles = 0;
+            for sched in [
+                SchedulerConfig::baseline(),
+                redsoc_for(bench.class()),
+                SchedulerConfig::mos(),
+            ] {
+                let config = core.clone().with_sched(sched);
+                let mode = build_scheduler(&config.sched).name();
+                let fixed = Simulator::new(config.clone())
+                    .and_then(|s| s.run(trace.iter().copied()))
+                    .unwrap_or_else(|e| panic!("{}: {e}", cell(mode)));
+                let boxed =
+                    Simulator::with_scheduler(config.clone(), build_scheduler(&config.sched))
+                        .and_then(|s| s.run(trace.iter().copied()))
+                        .unwrap_or_else(|e| panic!("{}: {e}", cell(mode)));
+                assert_eq!(
+                    format!("{fixed:?}"),
+                    format!("{boxed:?}"),
+                    "{}: static and boxed dispatch diverge",
+                    cell(mode)
+                );
+                if mode == "baseline" {
+                    baseline_cycles = fixed.cycles;
+                }
+            }
+            let ts = run_ts(trace, &core, baseline_cycles, 0.01)
+                .unwrap_or_else(|e| panic!("{}: {e}", cell("ts")));
+            let boxed = Simulator::with_scheduler(
+                ts_core_config(&core, ts.clock_ps),
+                Box::new(TsScheduler),
+            )
+            .and_then(|s| s.run(trace.iter().copied()))
+            .unwrap_or_else(|e| panic!("{}: {e}", cell("ts")));
+            assert_eq!(ts.cycles, boxed.cycles, "{}: run_ts diverges", cell("ts"));
+        }
+    }
+}

@@ -23,7 +23,11 @@ use crate::stats::OpCategory;
 use super::state::PipelineState;
 
 impl PipelineState {
-    pub(crate) fn commit<S: EventSink>(&mut self, sched: &dyn Scheduler, sink: &mut S) {
+    pub(crate) fn commit<Sch: Scheduler + ?Sized, S: EventSink>(
+        &mut self,
+        sched: &Sch,
+        sink: &mut S,
+    ) {
         for _ in 0..self.config.frontend_width {
             let head_idx = (self.committed_total - self.base_seq) as usize;
             let Some(head) = self.ifos.get(head_idx) else {

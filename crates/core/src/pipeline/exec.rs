@@ -91,7 +91,12 @@ impl PipelineState {
     ///
     /// A VMLA consumer sees transparency only on its accumulate operand —
     /// multiply operands enter the (true-synchronous) multiply array.
-    pub(crate) fn avail_for(&self, sched: &dyn Scheduler, tag: u64, consumer: &Ifo) -> (u64, bool) {
+    pub(crate) fn avail_for<Sch: Scheduler + ?Sized>(
+        &self,
+        sched: &Sch,
+        tag: u64,
+        consumer: &Ifo,
+    ) -> (u64, bool) {
         let Some(p) = self.ifo(tag) else {
             return (0, false);
         };

@@ -26,7 +26,8 @@ use crate::sched::Scheduler;
 use crate::stats::StallCause;
 use crate::tag_pred::LastArrival;
 
-use super::state::{Fetched, Ifo, PipelineState};
+use super::state::{Fetched, Ifo, PipelineState, SrcTags};
+use super::wakeup::WaiterList;
 
 impl PipelineState {
     pub(crate) fn fetch<S: EventSink>(
@@ -106,9 +107,9 @@ impl PipelineState {
     /// Dispatch up to one front-end width of fetched ops. Returns the
     /// back-pressure reason that stopped dispatch while an op was ready,
     /// if any (the structural-hazard input to stall attribution).
-    pub(crate) fn dispatch<S: EventSink>(
+    pub(crate) fn dispatch<Sch: Scheduler + ?Sized, S: EventSink>(
         &mut self,
-        sched: &dyn Scheduler,
+        sched: &Sch,
         sink: &mut S,
     ) -> Option<StallCause> {
         let mut block = None;
@@ -139,9 +140,9 @@ impl PipelineState {
         block
     }
 
-    pub(crate) fn allocate<S: EventSink>(
+    pub(crate) fn allocate<Sch: Scheduler + ?Sized, S: EventSink>(
         &mut self,
-        sched: &dyn Scheduler,
+        sched: &Sch,
         op: DynOp,
         sink: &mut S,
     ) {
@@ -173,13 +174,11 @@ impl PipelineState {
         }
 
         // Resolve sources through the RAT (deduplicated, program order).
-        let mut srcs: Vec<u64> = Vec::with_capacity(4);
-        let mut src_positions: Vec<usize> = Vec::new();
-        for (pos, reg) in op.instr.srcs().iter().enumerate() {
+        let mut srcs = SrcTags::default();
+        for reg in op.instr.srcs().iter() {
             if let Some(tag) = self.rat[reg.index()] {
                 if !srcs.contains(&tag) {
                     srcs.push(tag);
-                    src_positions.push(pos);
                 }
             }
         }
@@ -204,14 +203,17 @@ impl PipelineState {
 
         // Operational-design last-arrival prediction (§IV-C): among sources
         // whose producers are still waiting to issue.
-        let unissued: Vec<(usize, u64)> = srcs
-            .iter()
-            .enumerate()
-            .filter(|(_, &t)| self.ifo(t).is_some_and(|p| !p.issued))
-            .map(|(i, &t)| (i, t))
-            .collect();
+        // `(position in srcs, tag)`, inline like `srcs` itself.
+        let mut unissued = [(0usize, 0u64); 4];
+        let mut n_unissued = 0;
+        for (i, &t) in srcs.iter().enumerate() {
+            if self.ifo(t).is_some_and(|p| !p.issued) {
+                unissued[n_unissued] = (i, t);
+                n_unissued += 1;
+            }
+        }
         let use_prediction = sched.uses_tag_prediction(recyclable);
-        let (pred_last, pred_pos) = match unissued.as_slice() {
+        let (pred_last, pred_pos) = match &unissued[..n_unissued] {
             [] => {
                 // Everything issued: the operand with the latest broadcast
                 // is trivially "last"; no prediction consumed.
@@ -277,7 +279,7 @@ impl PipelineState {
             committed: false,
             l1_miss: false,
             mem_rejected: false,
-            waiters: Vec::new(),
+            waiters: WaiterList::default(),
             in_ready: false,
         };
 

@@ -46,9 +46,9 @@ impl PipelineState {
     /// O(ready + broadcasts) rather than O(window). With the `scan-wakeup`
     /// feature the legacy full-window scan can be selected at runtime for
     /// differential testing; both paths produce identical event streams.
-    pub(crate) fn select_and_issue<S: EventSink>(
+    pub(crate) fn select_and_issue<Sch: Scheduler + ?Sized, S: EventSink>(
         &mut self,
-        sched: &dyn Scheduler,
+        sched: &Sch,
         sink: &mut S,
     ) -> bool {
         #[cfg(feature = "scan-wakeup")]
@@ -108,7 +108,11 @@ impl PipelineState {
     /// `scan-wakeup` feature as the differential-testing reference for
     /// the event-driven path (see `Simulator::with_scan_wakeup`).
     #[cfg(feature = "scan-wakeup")]
-    fn select_and_issue_scan<S: EventSink>(&mut self, sched: &dyn Scheduler, sink: &mut S) -> bool {
+    fn select_and_issue_scan<Sch: Scheduler + ?Sized, S: EventSink>(
+        &mut self,
+        sched: &Sch,
+        sink: &mut S,
+    ) -> bool {
         let mut requests = core::mem::take(&mut self.wakeup.requests);
         debug_assert!(requests.iter().all(Vec::is_empty));
         for x in &self.ifos {
@@ -135,7 +139,11 @@ impl PipelineState {
     /// Select and grant the per-pool requests staged in the shared
     /// scratch buffers — the half of the issue pass common to the
     /// event-driven and scan paths. Clears the request buffers.
-    fn issue_from_requests<S: EventSink>(&mut self, sched: &dyn Scheduler, sink: &mut S) -> bool {
+    fn issue_from_requests<Sch: Scheduler + ?Sized, S: EventSink>(
+        &mut self,
+        sched: &Sch,
+        sink: &mut S,
+    ) -> bool {
         let exec_cycle = self.cycle + 1;
         let mut stalled = false;
         let mut granted_this_cycle = core::mem::take(&mut self.wakeup.granted);
@@ -191,9 +199,9 @@ impl PipelineState {
 
     /// Attempt to issue `seq` (granted by select this cycle).
     #[allow(clippy::too_many_lines)]
-    pub(crate) fn try_issue<S: EventSink>(
+    pub(crate) fn try_issue<Sch: Scheduler + ?Sized, S: EventSink>(
         &mut self,
-        sched: &dyn Scheduler,
+        sched: &Sch,
         seq: u64,
         spec: bool,
         granted: &[u64],

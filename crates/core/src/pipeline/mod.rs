@@ -57,7 +57,10 @@ use redsoc_timing::pvt::EPOCH_CYCLES;
 
 use crate::config::CoreConfig;
 use crate::events::{EventSink, NullSink, PipeEvent};
-use crate::sched::{build_scheduler, Scheduler};
+use crate::sched::baseline::BaselineScheduler;
+use crate::sched::mos::MosScheduler;
+use crate::sched::ts::TsScheduler;
+use crate::sched::{Policy, Scheduler};
 use crate::stats::{SimReport, StallCause};
 
 use state::PipelineState;
@@ -206,34 +209,41 @@ impl CancelToken {
 #[derive(Debug)]
 pub struct Simulator {
     state: PipelineState,
-    sched: Box<dyn Scheduler>,
+    policy: Policy,
     cancel: CancelToken,
 }
 
 impl Simulator {
     /// Build a simulator for `config`, with the scheduling policy chosen
-    /// by `config.sched.mode` through the
-    /// [`build_scheduler`] registry.
+    /// by `config.sched.mode` through the same registry as
+    /// [`build_scheduler`](crate::sched::build_scheduler). The built-in
+    /// policy is held by value, so the cycle loop is monomorphised for it.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::BadConfig`] if the configuration is invalid.
     pub fn new(config: CoreConfig) -> Result<Self, SimError> {
-        let sched = build_scheduler(&config.sched);
-        Simulator::with_scheduler(config, sched)
+        let policy = Policy::for_config(&config.sched);
+        Simulator::with_policy(config, policy)
     }
 
     /// Build a simulator for `config` driven by an explicit [`Scheduler`]
     /// implementation — the entry point for plugging in a custom
-    /// scheduling design (`config.sched.mode` is ignored).
+    /// scheduling design (`config.sched.mode` is ignored). Its hooks are
+    /// called through `dyn Scheduler`.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::BadConfig`] if the configuration is invalid.
     pub fn with_scheduler(config: CoreConfig, sched: Box<dyn Scheduler>) -> Result<Self, SimError> {
+        Simulator::with_policy(config, Policy::Boxed(sched))
+    }
+
+    /// Build a simulator for `config` driven by `policy`.
+    pub(crate) fn with_policy(config: CoreConfig, policy: Policy) -> Result<Self, SimError> {
         Ok(Simulator {
             state: PipelineState::new(config)?,
-            sched,
+            policy,
             cancel: CancelToken::new(),
         })
     }
@@ -289,84 +299,101 @@ impl Simulator {
     /// progress; the error carries `sink.recent()` as a diagnostic.
     pub fn run_events<S: EventSink>(
         self,
-        mut trace: impl Iterator<Item = DynOp>,
+        trace: impl Iterator<Item = DynOp>,
         sink: &mut S,
     ) -> Result<SimReport, SimError> {
         let Simulator {
-            mut state,
-            sched,
+            state,
+            policy,
             cancel,
         } = self;
-        let sched = &*sched;
-        let mut last_progress_cycle = 0;
-        let mut last_committed = 0;
-        loop {
-            // Cooperative cancellation: polled every 1024 cycles so the
-            // hot loop stays branch-predictable and watchdog budgets are
-            // still observed within a rounding error of their value.
-            if state.cycle & 0x3FF == 0 && cancel.should_stop(state.cycle) {
-                return Err(SimError::Cancelled {
-                    cycle: state.cycle,
-                    committed: state.committed_total,
-                    recent_events: sink.recent(),
-                });
-            }
-            // CPM-driven LUT recalibration at epoch boundaries (§V).
-            if state.config.sched.pvt_guard_band && state.cycle.is_multiple_of(EPOCH_CYCLES) {
-                let gb = state.pvt.guard_band_ps(state.cycle);
-                state.lut = state.base_lut.with_guard_band(gb);
-            }
-            let committed_before = state.committed_total;
-            state.commit(sched, sink);
-            let fu_denied = state.select_and_issue(sched, sink);
-            let dispatch_block = state.dispatch(sched, sink);
-            state.fetch(&mut trace, sink);
-
-            if state.committed_total != last_committed {
-                last_committed = state.committed_total;
-                last_progress_cycle = state.cycle;
-            } else if state.cycle - last_progress_cycle > state.config.deadlock_cycles {
-                return Err(SimError::Deadlock {
-                    cycle: state.cycle,
-                    committed: state.committed_total,
-                    recent_events: sink.recent(),
-                });
-            }
-
-            let drained = state.fetch_stopped
-                && state.fetchq.is_empty()
-                && state.committed_total == state.dispatched_total;
-            if drained {
-                break;
-            }
-            // Charge this cycle to exactly one cause: the partition
-            // invariant `stalls.total() == cycles` holds by construction.
-            let cause = state.attribute_stall(
-                state.committed_total - committed_before,
-                fu_denied,
-                dispatch_block,
-            );
-            state.report.stalls.bump(cause);
-            if S::ENABLED && cause != StallCause::Busy {
-                sink.record(state.cycle, &PipeEvent::StallCycle { cause });
-            }
-            state.cycle += 1;
+        match &policy {
+            Policy::Baseline => run_loop(state, &BaselineScheduler, &cancel, trace, sink),
+            Policy::Redsoc(sched) => run_loop(state, sched, &cancel, trace, sink),
+            Policy::Mos => run_loop(state, &MosScheduler, &cancel, trace, sink),
+            Policy::Ts => run_loop(state, &TsScheduler, &cancel, trace, sink),
+            Policy::Boxed(sched) => run_loop(state, &**sched, &cancel, trace, sink),
         }
-        if state.cycle == 0 {
-            // Empty trace: the report counts one cycle; charge it too.
-            state.report.stalls.bump(StallCause::Frontend);
-        }
-        state.drain_chain_stats();
-        state.report.cycles = state.cycle.max(1);
-        state.report.committed = state.committed_total;
-        state.report.tag_pred = state.tag_pred.stats();
-        state.report.width_pred = state.width_pred.stats();
-        state.report.branch = state.gshare.stats();
-        state.report.memory = state.memory.stats();
-        state.report.mem_contention = state.memory.contention();
-        debug_assert_eq!(state.report.stalls.total(), state.report.cycles);
-        Ok(state.report)
     }
+}
+
+/// The cycle loop, monomorphised per scheduler type (`dyn Scheduler` for
+/// [`Simulator::with_scheduler`] policies) and per event sink.
+fn run_loop<Sch: Scheduler + ?Sized, S: EventSink>(
+    mut state: PipelineState,
+    sched: &Sch,
+    cancel: &CancelToken,
+    mut trace: impl Iterator<Item = DynOp>,
+    sink: &mut S,
+) -> Result<SimReport, SimError> {
+    let mut last_progress_cycle = 0;
+    let mut last_committed = 0;
+    loop {
+        // Cooperative cancellation: polled every 1024 cycles so the
+        // hot loop stays branch-predictable and watchdog budgets are
+        // still observed within a rounding error of their value.
+        if state.cycle & 0x3FF == 0 && cancel.should_stop(state.cycle) {
+            return Err(SimError::Cancelled {
+                cycle: state.cycle,
+                committed: state.committed_total,
+                recent_events: sink.recent(),
+            });
+        }
+        // CPM-driven LUT recalibration at epoch boundaries (§V).
+        if state.config.sched.pvt_guard_band && state.cycle.is_multiple_of(EPOCH_CYCLES) {
+            let gb = state.pvt.guard_band_ps(state.cycle);
+            state.lut = state.base_lut.with_guard_band(gb);
+        }
+        let committed_before = state.committed_total;
+        state.commit(sched, sink);
+        let fu_denied = state.select_and_issue(sched, sink);
+        let dispatch_block = state.dispatch(sched, sink);
+        state.fetch(&mut trace, sink);
+
+        if state.committed_total != last_committed {
+            last_committed = state.committed_total;
+            last_progress_cycle = state.cycle;
+        } else if state.cycle - last_progress_cycle > state.config.deadlock_cycles {
+            return Err(SimError::Deadlock {
+                cycle: state.cycle,
+                committed: state.committed_total,
+                recent_events: sink.recent(),
+            });
+        }
+
+        let drained = state.fetch_stopped
+            && state.fetchq.is_empty()
+            && state.committed_total == state.dispatched_total;
+        if drained {
+            break;
+        }
+        // Charge this cycle to exactly one cause: the partition
+        // invariant `stalls.total() == cycles` holds by construction.
+        let cause = state.attribute_stall(
+            state.committed_total - committed_before,
+            fu_denied,
+            dispatch_block,
+        );
+        state.report.stalls.bump(cause);
+        if S::ENABLED && cause != StallCause::Busy {
+            sink.record(state.cycle, &PipeEvent::StallCycle { cause });
+        }
+        state.cycle += 1;
+    }
+    if state.cycle == 0 {
+        // Empty trace: the report counts one cycle; charge it too.
+        state.report.stalls.bump(StallCause::Frontend);
+    }
+    state.drain_chain_stats();
+    state.report.cycles = state.cycle.max(1);
+    state.report.committed = state.committed_total;
+    state.report.tag_pred = state.tag_pred.stats();
+    state.report.width_pred = state.width_pred.stats();
+    state.report.branch = state.gshare.stats();
+    state.report.memory = state.memory.stats();
+    state.report.mem_contention = state.memory.contention();
+    debug_assert_eq!(state.report.stalls.total(), state.report.cycles);
+    Ok(state.report)
 }
 
 impl PipelineState {

@@ -9,6 +9,8 @@
 //! borrows exactly this one struct and the borrow checker arbitrates.
 
 use std::collections::VecDeque;
+use std::fmt;
+use std::ops::Deref;
 
 use redsoc_isa::opcode::ExecClass;
 use redsoc_isa::reg::{ArchReg, NUM_ARCH_REGS};
@@ -26,7 +28,7 @@ use crate::fu::{FuPool, PoolKind};
 use crate::stats::SimReport;
 use crate::tag_pred::{LastArrival, TagPredictor};
 
-use super::wakeup::WakeupState;
+use super::wakeup::{WaiterList, WakeupState};
 use super::SimError;
 
 /// Dynamic instruction state while in flight — one reservation-station /
@@ -43,7 +45,7 @@ pub struct Ifo {
     /// Functional-unit pool this op issues to.
     pub pool: PoolKind,
     /// Producer tags of all register sources (deduplicated).
-    pub srcs: Vec<u64>,
+    pub srcs: SrcTags,
     /// Predicted-last-arriving source tag (operational RSE design).
     pub pred_last: Option<u64>,
     /// Predicted grandparent tag (the parent's own predicted-last parent).
@@ -91,13 +93,58 @@ pub struct Ifo {
     /// issue attempt (MSHRs full) — the `StallCause::Mshr` attribution
     /// flag, cleared when the op finally issues.
     pub mem_rejected: bool,
-    /// Event-driven wakeup: sequence tags of dispatched consumers waiting
-    /// on this entry's issue broadcast (drained exactly once at issue; see
-    /// [`crate::pipeline::wakeup`]).
-    pub(crate) waiters: Vec<u64>,
+    /// Event-driven wakeup: the dispatched consumers waiting on this
+    /// entry's issue broadcast, a FIFO list in the wakeup node slab
+    /// (drained exactly once at issue; see [`crate::pipeline::wakeup`] and
+    /// [`PipelineState::waiters_of`]).
+    pub(crate) waiters: WaiterList,
     /// Whether this entry currently sits in its pool's ready set (the
     /// membership mirror preventing double insertion).
     pub(crate) in_ready: bool,
+}
+
+/// The producer tags of an entry's register sources, deduplicated, in
+/// program order: an inline set, so rename allocates nothing per op. The
+/// capacity of four is [`SrcSet`](redsoc_isa::reg::SrcSet)'s — an
+/// instruction reads at most four registers, asserted at `SrcSet::push`.
+///
+/// Derefs to `[u64]`, so hooks read it as a slice: `x.srcs.iter()`,
+/// `x.srcs.contains(&t)`, `x.srcs.get(i)`, `for &s in &x.srcs`.
+#[derive(Clone, Copy, Default)]
+pub struct SrcTags {
+    tags: [u64; 4],
+    len: u8,
+}
+
+impl SrcTags {
+    /// Append `tag`. Panics beyond four tags, which `SrcSet` rules out.
+    pub(crate) fn push(&mut self, tag: u64) {
+        self.tags[usize::from(self.len)] = tag;
+        self.len += 1;
+    }
+}
+
+impl Deref for SrcTags {
+    type Target = [u64];
+
+    fn deref(&self) -> &[u64] {
+        &self.tags[..usize::from(self.len)]
+    }
+}
+
+impl<'a> IntoIterator for &'a SrcTags {
+    type Item = &'a u64;
+    type IntoIter = std::slice::Iter<'a, u64>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl fmt::Debug for SrcTags {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
 }
 
 /// A fetched op waiting to dispatch.

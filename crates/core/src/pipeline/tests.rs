@@ -7,6 +7,7 @@
 
 use super::*;
 use crate::config::SchedulerConfig;
+use crate::sched::redsoc::RedsocScheduler;
 use redsoc_isa::prelude::*;
 
 fn logic_chain_trace(n: u64) -> Vec<DynOp> {
@@ -32,6 +33,7 @@ fn logic_chain_trace(n: u64) -> Vec<DynOp> {
 /// `PipelineState` internals, so it lives with the pipeline.
 fn stuck_simulator() -> Simulator {
     let config = CoreConfig::big().with_sched(SchedulerConfig::redsoc());
+    let sched = RedsocScheduler::from_config(&config.sched);
     let mut sim = Simulator::new(config).expect("valid config");
     let instr = Instr::Alu {
         op: AluOp::Add,
@@ -41,7 +43,7 @@ fn stuck_simulator() -> Simulator {
         set_flags: false,
     };
     sim.state
-        .allocate(&*sim.sched, DynOp::simple(0, 0, instr), &mut NullSink);
+        .allocate(&sched, DynOp::simple(0, 0, instr), &mut NullSink);
     sim.state.ifos[0].earliest_req = u64::MAX; // never requests selection
     sim.state.fetch_stopped = true;
     sim
@@ -208,11 +210,11 @@ fn partially_overlapping_unissued_store_blocks_but_still_forwards_when_issued() 
     let config = CoreConfig::big().with_sched(SchedulerConfig::baseline());
     let mut sim = Simulator::new(config).expect("valid config");
     sim.state
-        .allocate(&*sim.sched, store_op(0, 0, 0x100), &mut NullSink);
+        .allocate(&BaselineScheduler, store_op(0, 0, 0x100), &mut NullSink);
     sim.state
-        .allocate(&*sim.sched, load_op(1, 4, 0x102), &mut NullSink);
+        .allocate(&BaselineScheduler, load_op(1, 4, 0x102), &mut NullSink);
     sim.state
-        .allocate(&*sim.sched, load_op(2, 8, 0x104), &mut NullSink);
+        .allocate(&BaselineScheduler, load_op(2, 8, 0x104), &mut NullSink);
 
     // While the store is unissued its data is unavailable: the
     // overlapping load is blocked, the adjacent (non-overlapping)

@@ -145,6 +145,17 @@ pub struct FusedIssue {
 /// [`Scheduler::post_issue`] (fusion). [`Scheduler::on_writeback`] fires
 /// as each op retires. Every default reproduces the conventional
 /// baseline, so implementations override only what their design changes.
+///
+/// The pipeline's stages are generic over the scheduler type. The
+/// built-in policies ([`Simulator::new`], [`ts::run_ts`]) run through a
+/// cycle loop monomorphised for each, so trivial hooks inline; a policy
+/// given to [`Simulator::with_scheduler`] runs through `dyn Scheduler`.
+/// Neither path allocates per cycle unless a hook does: [`post_issue`]
+/// returns a `Vec`, which costs nothing while empty.
+///
+/// [`Simulator::new`]: crate::pipeline::Simulator::new
+/// [`Simulator::with_scheduler`]: crate::pipeline::Simulator::with_scheduler
+/// [`post_issue`]: Scheduler::post_issue
 pub trait Scheduler: fmt::Debug + Send + Sync {
     /// Short machine-readable policy name.
     fn name(&self) -> &'static str;
@@ -285,13 +296,44 @@ pub trait Scheduler: fmt::Debug + Send + Sync {
     }
 }
 
-/// Build the scheduler implementing `config.mode` — the registry the
-/// simulator (and thereby every figure binary and the sweep runner) uses.
+/// The policy a [`Simulator`](crate::pipeline::Simulator) runs: a
+/// built-in scheduler by value, so the pipeline is monomorphised for it
+/// and its trivial hooks inline, or any other implementation behind
+/// `dyn` (the [`Simulator::with_scheduler`] path).
+///
+/// [`Simulator::with_scheduler`]: crate::pipeline::Simulator::with_scheduler
+#[derive(Debug)]
+pub(crate) enum Policy {
+    Baseline,
+    Redsoc(redsoc::RedsocScheduler),
+    Mos,
+    Ts,
+    Boxed(Box<dyn Scheduler>),
+}
+
+impl Policy {
+    /// The built-in policy implementing `config.mode` — the one registry
+    /// behind both [`Simulator::new`](crate::pipeline::Simulator::new)
+    /// and [`build_scheduler`].
+    pub(crate) fn for_config(config: &SchedulerConfig) -> Self {
+        match config.mode {
+            SchedMode::Baseline => Policy::Baseline,
+            SchedMode::Redsoc => Policy::Redsoc(redsoc::RedsocScheduler::from_config(config)),
+            SchedMode::Mos => Policy::Mos,
+        }
+    }
+}
+
+/// Build the scheduler implementing `config.mode`, boxed — the registry
+/// [`Simulator::new`](crate::pipeline::Simulator::new) uses, for callers
+/// that wrap or inspect a policy as a trait object.
 #[must_use]
 pub fn build_scheduler(config: &SchedulerConfig) -> Box<dyn Scheduler> {
-    match config.mode {
-        SchedMode::Baseline => Box::new(baseline::BaselineScheduler),
-        SchedMode::Redsoc => Box::new(redsoc::RedsocScheduler::from_config(config)),
-        SchedMode::Mos => Box::new(mos::MosScheduler),
+    match Policy::for_config(config) {
+        Policy::Baseline => Box::new(baseline::BaselineScheduler),
+        Policy::Redsoc(s) => Box::new(s),
+        Policy::Mos => Box::new(mos::MosScheduler),
+        Policy::Ts => Box::new(ts::TsScheduler),
+        Policy::Boxed(s) => s,
     }
 }

@@ -72,11 +72,8 @@ impl Scheduler for MosScheduler {
                     .map(|y| y.op.seq)
             } else {
                 state
-                    .ifo(head)
-                    .expect("chain head")
-                    .waiters
-                    .iter()
-                    .filter_map(|&w| state.ifo(w))
+                    .waiters_of(head)
+                    .filter_map(|w| state.ifo(w))
                     .filter(|y| fusable(state, y, head, head_pool, budget))
                     .min_by_key(|y| y.op.seq)
                     .map(|y| y.op.seq)

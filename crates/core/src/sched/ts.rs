@@ -23,7 +23,7 @@ use redsoc_timing::optime::{alu_compute_ps, simd_compute_ps, CYCLE_PS};
 use crate::config::{CoreConfig, SchedulerConfig};
 use crate::pipeline::{SimError, Simulator};
 
-use super::Scheduler;
+use super::{Policy, Scheduler};
 
 /// The TS scheduling policy: *conventional* wakeup, select and boundary
 /// completion — identical to the baseline — because timing speculation
@@ -125,6 +125,20 @@ pub fn choose_clock(trace: &[DynOp], max_error: f64, min_clock_ps: u32, step_ps:
 /// the ALU bypass network, is unconstrained.)
 pub const TS_MIN_CLOCK_PS: u32 = 450;
 
+/// The core [`run_ts`] simulates at a `clock_ps` clock: `config` under
+/// conventional scheduling, with the fixed-time memory latencies
+/// rescaled to cycles of the shorter clock.
+#[must_use]
+pub fn ts_core_config(config: &CoreConfig, clock_ps: u32) -> CoreConfig {
+    let scale = f64::from(CYCLE_PS) / f64::from(clock_ps);
+    let mut ts_config = config.clone().with_sched(SchedulerConfig::baseline());
+    let rescale = |cycles: u32| -> u32 { (f64::from(cycles) * scale).ceil() as u32 };
+    ts_config.mem_latencies.l1_cycles = rescale(ts_config.mem_latencies.l1_cycles);
+    ts_config.mem_latencies.l2_cycles = rescale(ts_config.mem_latencies.l2_cycles);
+    ts_config.mem_latencies.mem_cycles = rescale(ts_config.mem_latencies.mem_cycles);
+    ts_config
+}
+
 /// Run the TS comparator: pick the per-application clock, rescale
 /// fixed-time latencies, simulate under a [`TsScheduler`], and report
 /// wall-clock speedup against the given baseline cycle count.
@@ -140,17 +154,8 @@ pub fn run_ts(
 ) -> Result<TsResult, SimError> {
     let clock_ps = choose_clock(trace, max_error, TS_MIN_CLOCK_PS, 10);
     let error_rate = error_rate_at(trace, clock_ps);
-
-    // Rescale fixed-time structures to the shorter clock.
-    let scale = f64::from(CYCLE_PS) / f64::from(clock_ps);
-    let mut ts_config = config.clone().with_sched(SchedulerConfig::baseline());
-    let rescale = |cycles: u32| -> u32 { (f64::from(cycles) * scale).ceil() as u32 };
-    ts_config.mem_latencies.l1_cycles = rescale(ts_config.mem_latencies.l1_cycles);
-    ts_config.mem_latencies.l2_cycles = rescale(ts_config.mem_latencies.l2_cycles);
-    ts_config.mem_latencies.mem_cycles = rescale(ts_config.mem_latencies.mem_cycles);
-
-    let report =
-        Simulator::with_scheduler(ts_config, Box::new(TsScheduler))?.run(trace.iter().copied())?;
+    let ts_config = ts_core_config(config, clock_ps);
+    let report = Simulator::with_policy(ts_config, Policy::Ts)?.run(trace.iter().copied())?;
     let base_time = baseline_cycles as f64 * f64::from(CYCLE_PS);
     let ts_time = report.cycles as f64 * f64::from(clock_ps);
     Ok(TsResult {

@@ -40,4 +40,4 @@ pub use model::{
     build_memory_model, ClassicHierarchy, ContentionStats, MemModelConfig, MemReject, MemResponse,
     MemoryModel,
 };
-pub use prefetch::{PrefetchStats, StridePrefetcher};
+pub use prefetch::{PrefetchStats, PrefetchTargets, StridePrefetcher};

@@ -43,6 +43,42 @@ pub struct PrefetchStats {
     pub issued: u64,
 }
 
+/// The prefetch addresses of one training step: `base + k * stride` for
+/// `k = 1..=degree`, skipping negative targets. A plain iterator, so a
+/// steady-stride load allocates nothing.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PrefetchTargets {
+    base: u64,
+    stride: i64,
+    k: u32,
+    degree: u32,
+}
+
+impl PrefetchTargets {
+    /// No prefetches.
+    const NONE: PrefetchTargets = PrefetchTargets {
+        base: 0,
+        stride: 0,
+        k: 0,
+        degree: 0,
+    };
+}
+
+impl Iterator for PrefetchTargets {
+    type Item = u64;
+
+    fn next(&mut self) -> Option<u64> {
+        while self.k < self.degree {
+            self.k += 1;
+            let target = self.base as i64 + self.stride * i64::from(self.k);
+            if target >= 0 {
+                return Some(target as u64);
+            }
+        }
+        None
+    }
+}
+
 /// A stride prefetcher trained on the demand-load address stream.
 #[derive(Debug, Clone)]
 pub struct StridePrefetcher {
@@ -76,12 +112,12 @@ impl StridePrefetcher {
 
     /// Train on a demand load and return the prefetch addresses to fill
     /// (empty unless the entry is in the steady state).
-    pub fn train(&mut self, pc: u32, addr: u64) -> Vec<u64> {
+    pub fn train(&mut self, pc: u32, addr: u64) -> PrefetchTargets {
         self.stats.trains += 1;
         let mask = self.entries.len() - 1;
         let slot = (pc as usize >> 2) & mask;
         let e = &mut self.entries[slot];
-        let mut out = Vec::new();
+        let mut out = PrefetchTargets::NONE;
         if !e.valid || e.pc_tag != pc {
             *e = Entry {
                 valid: true,
@@ -101,12 +137,12 @@ impl StridePrefetcher {
             State::Transient | State::Steady => {
                 if stride == e.stride && stride != 0 {
                     e.state = State::Steady;
-                    for k in 1..=self.degree {
-                        let target = addr as i64 + stride * i64::from(k);
-                        if target >= 0 {
-                            out.push(target as u64);
-                        }
-                    }
+                    out = PrefetchTargets {
+                        base: addr,
+                        stride,
+                        k: 0,
+                        degree: self.degree,
+                    };
                 } else {
                     e.stride = stride;
                     e.state = State::Transient;
@@ -114,7 +150,7 @@ impl StridePrefetcher {
             }
         }
         e.last_addr = addr;
-        self.stats.issued += out.len() as u64;
+        self.stats.issued += out.clone().count() as u64;
         out
     }
 
@@ -133,11 +169,11 @@ mod tests {
     #[test]
     fn steady_stride_prefetches_ahead() {
         let mut p = StridePrefetcher::new(16, 2);
-        assert!(p.train(0x40, 1000).is_empty()); // allocate
-        assert!(p.train(0x40, 1064).is_empty()); // learn stride 64
-        let pf = p.train(0x40, 1128); // confirm
+        assert!(p.train(0x40, 1000).collect::<Vec<_>>().is_empty()); // allocate
+        assert!(p.train(0x40, 1064).collect::<Vec<_>>().is_empty()); // learn stride 64
+        let pf: Vec<u64> = p.train(0x40, 1128).collect(); // confirm
         assert_eq!(pf, vec![1192, 1256]);
-        let pf = p.train(0x40, 1192);
+        let pf: Vec<u64> = p.train(0x40, 1192).collect();
         assert_eq!(pf, vec![1256, 1320]);
     }
 
@@ -146,20 +182,23 @@ mod tests {
         let mut p = StridePrefetcher::new(16, 1);
         p.train(0x40, 1000);
         p.train(0x40, 1064);
-        assert!(!p.train(0x40, 1128).is_empty());
+        assert!(!p.train(0x40, 1128).collect::<Vec<_>>().is_empty());
         assert!(
-            p.train(0x40, 5000).is_empty(),
+            p.train(0x40, 5000).collect::<Vec<_>>().is_empty(),
             "broken stride stops prefetching"
         );
-        assert!(p.train(0x40, 5008).is_empty(), "transient again");
-        assert_eq!(p.train(0x40, 5016), vec![5024]);
+        assert!(
+            p.train(0x40, 5008).collect::<Vec<_>>().is_empty(),
+            "transient again"
+        );
+        assert_eq!(p.train(0x40, 5016).collect::<Vec<_>>(), vec![5024]);
     }
 
     #[test]
     fn zero_stride_never_prefetches() {
         let mut p = StridePrefetcher::new(16, 2);
         for _ in 0..5 {
-            assert!(p.train(0x40, 777).is_empty());
+            assert!(p.train(0x40, 777).collect::<Vec<_>>().is_empty());
         }
     }
 
@@ -170,8 +209,8 @@ mod tests {
         p.train(0x44, 100_000);
         p.train(0x40, 64);
         p.train(0x44, 100_008);
-        assert_eq!(p.train(0x40, 128), vec![192]);
-        assert_eq!(p.train(0x44, 100_016), vec![100_024]);
+        assert_eq!(p.train(0x40, 128).collect::<Vec<_>>(), vec![192]);
+        assert_eq!(p.train(0x44, 100_016).collect::<Vec<_>>(), vec![100_024]);
     }
 
     #[test]
@@ -272,7 +311,7 @@ mod tests {
                     }
                     None => lcg(&mut rng) % 0x10000,
                 };
-                let got = dut.train(pc, addr);
+                let got: Vec<u64> = dut.train(pc, addr).collect();
                 let want = reference.train(pc, addr);
                 assert_eq!(
                     got, want,
@@ -299,7 +338,7 @@ mod tests {
             last_delta = delta;
             addr = (addr as i64 + delta).max(0) as u64;
             assert!(
-                p.train(0x80, addr).is_empty(),
+                p.train(0x80, addr).collect::<Vec<_>>().is_empty(),
                 "step {step}: prefetch on a never-repeating stride stream"
             );
         }
@@ -311,11 +350,38 @@ mod tests {
             let mut p = StridePrefetcher::new(16, degree);
             p.train(0x40, 1000);
             p.train(0x40, 1064);
-            let pf = p.train(0x40, 1128);
+            let pf: Vec<u64> = p.train(0x40, 1128).collect();
             assert_eq!(pf.len(), degree as usize);
             for (k, a) in pf.iter().enumerate() {
                 assert_eq!(*a, 1128 + 64 * (k as u64 + 1));
             }
         }
+    }
+
+    #[test]
+    fn targets_skip_negative_addresses_and_issued_counts_what_is_yielded() {
+        // Stride -48 from 100: targets 52, 4, -44, -92 — the last two are
+        // skipped, and only the two yielded count as issued.
+        let mut p = StridePrefetcher::new(16, 4);
+        p.train(0x40, 196);
+        p.train(0x40, 148);
+        let before = p.stats().issued;
+        let pf: Vec<u64> = p.train(0x40, 100).collect();
+        assert_eq!(pf, vec![52, 4]);
+        assert_eq!(p.stats().issued - before, pf.len() as u64);
+    }
+
+    #[test]
+    fn targets_yield_degree_addresses_and_stats_match_over_a_stream() {
+        let mut p = StridePrefetcher::new(16, 3);
+        let mut yielded = 0u64;
+        for i in 0..50u64 {
+            let targets = p.train(0x40, 4096 + 64 * i);
+            let n = targets.count() as u64;
+            assert!(n == 0 || n == 3, "steady stride yields `degree` targets");
+            yielded += n;
+        }
+        assert_eq!(yielded, 48 * 3, "steady from the third observation on");
+        assert_eq!(p.stats().issued, yielded);
     }
 }
